@@ -1,9 +1,9 @@
-"""Service-tier benchmark: backend listing/lookup, serve latency, streaming.
+"""Service-tier benchmark: backend listing/lookup, serve latency.
 
-Three measurements, written to ``results/BENCH_service.json``::
+Two measurements, written to ``results/BENCH_service.json``::
 
-    python benchmarks/bench_service.py [--entries K] [--n INSTS]
-        [--jobs N] [--requests R] [--min-speedup X] [--check]
+    python benchmarks/bench_service.py [--entries K] [--requests R]
+        [--min-speedup X] [--check]
 
 * **index** — a synthetic store of ``--entries`` result documents
   (default 10k) is listed and filtered through the ``dir`` and
@@ -17,9 +17,6 @@ Three measurements, written to ``results/BENCH_service.json``::
   (p50/p95 over ``--requests`` requests) against a live ``repro
   serve`` instance on the sqlite store.  Warm queries execute zero
   simulations; the run aborts if the server's counter says otherwise.
-* **streaming** — cold 12-app campaign wall time, asyncio streaming
-  scheduler vs the multiprocessing scheduler at the same ``--jobs``,
-  with the byte-identical-stats contract asserted on the results.
 
 Point lookups (``read`` by key) are O(1) path arithmetic on both local
 backends and are reported for completeness, not gated.
@@ -30,16 +27,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shutil
 import tempfile
 import threading
 import time
 import urllib.request
 from pathlib import Path
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
-from repro.campaign import Job, ResultStore, run_campaign
+from repro.campaign import ResultStore
 from repro.service.backends import (
     KIND_RESULT,
     DirectoryBackend,
@@ -47,7 +43,6 @@ from repro.service.backends import (
 )
 from repro.service.maintenance import migrate_index
 from repro.service.server import serve
-from repro.service.streaming import run_streaming
 from repro.workloads import APP_NAMES
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -180,48 +175,20 @@ def bench_serve(root: Path, requests: int) -> dict:
     }
 
 
-def bench_streaming(root: Path, apps: Sequence[str], n_insts: int, jobs_n: int) -> dict:
-    jobs = [Job(app, n_insts, model="sie") for app in apps]
-    start = time.perf_counter()
-    pooled = run_campaign(jobs, jobs_n=jobs_n, store=ResultStore(root / "mp"))
-    pooled_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    streamed = run_streaming(jobs, jobs_n=jobs_n, store=ResultStore(root / "stream"))
-    streamed_wall = time.perf_counter() - start
-    identical = [r.stats.to_dict() for r in pooled.results] == [
-        r.stats.to_dict() for r in streamed.results
-    ]
-    assert identical, "streaming diverged from the multiprocessing scheduler"
-    return {
-        "apps": list(apps),
-        "n_insts": n_insts,
-        "jobs_n": jobs_n,
-        "multiprocessing_wall_s": round(pooled_wall, 3),
-        "streaming_wall_s": round(streamed_wall, 3),
-        "identical_stats": identical,
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--entries", type=int, default=10_000)
-    parser.add_argument(
-        "--n", type=int, default=int(os.environ.get("REPRO_BENCH_N", 12_000))
-    )
-    parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument(
         "--min-speedup", type=float, default=10.0,
         help="required sqlite-over-dir filtered-listing speedup",
     )
-    parser.add_argument("--apps", default=os.environ.get("REPRO_BENCH_APPS"))
     parser.add_argument(
         "--check", action="store_true",
         help="re-measure the index cells and verify the committed results "
         "file meets the speedup gate, without overwriting it",
     )
     args = parser.parse_args()
-    apps = tuple(args.apps.split(",")) if args.apps else APP_NAMES
     out_path = RESULTS_DIR / RESULT_NAME
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-service-"))
@@ -253,7 +220,6 @@ def main() -> int:
             )
             return 1 if failures else 0
         served = bench_serve(scratch / "store", args.requests)
-        streaming = bench_streaming(scratch, apps, args.n, args.jobs)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -262,7 +228,6 @@ def main() -> int:
         "min_speedup_gate": args.min_speedup,
         "index": index,
         "serve": served,
-        "streaming": streaming,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     out_path.write_text(json.dumps(payload, indent=2) + "\n")

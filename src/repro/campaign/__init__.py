@@ -30,6 +30,7 @@ from .scheduler import (
     CampaignOutcome,
     CampaignState,
     StoreMissError,
+    WorkerLostError,
     campaign_context,
     current_context,
     execute_job,
@@ -51,6 +52,7 @@ __all__ = [
     "SOURCE_RUN",
     "SOURCE_STORE",
     "StoreMissError",
+    "WorkerLostError",
     "campaign_context",
     "canonical",
     "current_context",

@@ -14,31 +14,33 @@
   trace once (the runner's per-process trace cache covers re-dispatch of
   the same trace to the same pool worker).
 
-Ctrl-C drains gracefully: results of groups that already finished are
-persisted to the store before ``KeyboardInterrupt`` propagates, so an
-interrupted campaign resumes from where it stopped.
+Every finished group is persisted the moment it lands, so an interrupted
+campaign resumes from the store.  With ``jobs_n > 1`` groups run on a
+``ProcessPoolExecutor``: Ctrl-C cancels the groups not yet started and
+re-raises; a worker process dying (killed, OOM, segfault) raises
+:class:`WorkerLostError` once the surviving groups have drained.
 
 An ambient :class:`CampaignContext` (``with campaign_context(...):``)
 lets high-level entry points — the experiment registry, the CLI — set
 the parallelism and store once while inner layers keep calling
-``run_campaign(jobs)`` with no extra plumbing.  Two service-tier flags
-ride on the context: ``store_only`` (resolve from the store or raise
-:class:`StoreMissError` — never simulate; this is how ``repro serve``
-guarantees a warm query executes zero simulations) and ``streaming``
-(dispatch through the asyncio scheduler in
-:mod:`repro.service.streaming` instead of the multiprocessing pool).
+``run_campaign(jobs)`` with no extra plumbing.  Its ``store_only`` flag
+(resolve from the store or raise :class:`StoreMissError` — never
+simulate) is how ``repro serve`` guarantees a warm query executes zero
+simulations.
 
 The store pass, intra-batch dedup, result fan-out and ordering logic
-live in :class:`CampaignState`, shared verbatim by this module's
-multiprocessing fan-out and the streaming scheduler — which is why the
-two paths produce byte-identical outcomes.
+live in :class:`CampaignState`; the serial and the pool branch of
+``run_campaign`` both drive it, which is why the two produce
+byte-identical outcomes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import MachineConfig, SimStats
@@ -71,6 +73,14 @@ class StoreMissError(LookupError):
         )
         self.missing = missing
         self.total = total
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker died mid-campaign (killed, OOM, segfault).
+
+    Everything completed before the loss is already in the store —
+    re-running the campaign resumes from there.
+    """
 
 
 def execute_job(job: Job) -> SimStats:
@@ -165,15 +175,13 @@ class CampaignOutcome:
 
 
 class CampaignState:
-    """The scheduler-independent campaign bookkeeping.
+    """The campaign bookkeeping shared by the serial and pool branches.
 
-    Both execution paths — the multiprocessing fan-out below and the
-    asyncio streaming scheduler (:mod:`repro.service.streaming`) — drive
-    the same state machine: :meth:`resolve` performs the store pass and
-    intra-batch dedup, :meth:`complete` persists and fans out one
-    simulated result, :meth:`finalize` re-asserts submission order.
-    Byte-identical outcomes across schedulers follow from sharing this
-    class rather than re-implementing its rules.
+    :meth:`resolve` performs the store pass and intra-batch dedup,
+    :meth:`complete` persists and fans out one simulated result,
+    :meth:`finalize` re-asserts submission order.  Byte-identical
+    outcomes whatever ``jobs_n`` is follow from both branches sharing
+    this class rather than re-implementing its rules.
     """
 
     def __init__(
@@ -191,8 +199,6 @@ class CampaignState:
         self.done = 0
         self._slots: List[Optional[JobResult]] = [None] * self.total
         self._duplicates: Dict[int, List[int]] = {}  # first index -> followers
-        #: Results finished during resolve() (store hits), in order.
-        self.resolved: List[JobResult] = []
 
     def _finish(self, index: int, result: JobResult) -> None:
         self._slots[index] = result
@@ -212,7 +218,6 @@ class CampaignState:
                     stats, provenance = found
                     self.outcome.store_hits += 1
                     result = JobResult(job, stats, provenance)
-                    self.resolved.append(result)
                     self._finish(index, result)
                     continue
             first = first_index_for_key.setdefault(key, index)
@@ -223,27 +228,19 @@ class CampaignState:
                 pending.append((index, job))
         return _group_by_trace(pending)
 
-    def complete(self, index: int, stats: SimStats, wall: float) -> List[JobResult]:
-        """Persist one simulated result and fan it out to duplicate jobs.
-
-        Returns every :class:`JobResult` this completion finished (the
-        job itself plus intra-batch duplicates) — the streaming
-        scheduler yields exactly these.
-        """
+    def complete(self, index: int, stats: SimStats, wall: float) -> None:
+        """Persist one simulated result and fan it out to duplicate jobs."""
         job = self.jobs[index]
         provenance = Provenance(SOURCE_RUN, wall, CODE_VERSION)
         if self.store is not None:
             self.store.put(job, stats, provenance)
         self.outcome.executed += 1
-        finished = [JobResult(job, stats, provenance)]
-        self._finish(index, finished[0])
+        self._finish(index, JobResult(job, stats, provenance))
         for follower in self._duplicates.get(index, ()):
             result = JobResult(
                 self.jobs[follower], stats, Provenance(SOURCE_STORE, wall, CODE_VERSION)
             )
-            finished.append(result)
             self._finish(follower, result)
-        return finished
 
     def finalize(self) -> CampaignOutcome:
         """Assemble the outcome in submission order; absorbs into context."""
@@ -268,7 +265,6 @@ class CampaignContext:
 
     ``store_only`` turns misses into :class:`StoreMissError` instead of
     simulations — the serving tier's zero-simulation guarantee.
-    ``streaming`` routes execution through the asyncio scheduler.
     """
 
     jobs_n: int = 1
@@ -276,7 +272,6 @@ class CampaignContext:
     progress: Optional[ProgressFn] = None
     sampling: Optional[SamplingPlan] = None
     store_only: bool = False
-    streaming: bool = False
     executed: int = 0
     store_hits: int = 0
 
@@ -300,7 +295,6 @@ def campaign_context(
     progress: Optional[ProgressFn] = None,
     sampling: Optional[SamplingPlan] = None,
     store_only: bool = False,
-    streaming: bool = False,
 ) -> Iterator[CampaignContext]:
     """Install an ambient context for nested ``run_campaign`` calls."""
     global _ACTIVE_CONTEXT
@@ -310,7 +304,6 @@ def campaign_context(
         progress=progress,
         sampling=sampling,
         store_only=store_only,
-        streaming=streaming,
     )
     previous = _ACTIVE_CONTEXT
     _ACTIVE_CONTEXT = context
@@ -325,6 +318,40 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     # fall back to spawn where fork is unavailable.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _run_pool(groups: List[_Group], jobs_n: int, state: CampaignState) -> None:
+    """Fan the groups over worker processes, persisting each as it lands.
+
+    A lost worker breaks the whole pool; the remaining futures are still
+    drained (groups that finished before the break deliver and persist)
+    before :class:`WorkerLostError` is raised.
+    """
+    lost: Optional[BrokenProcessPool] = None
+    executor = ProcessPoolExecutor(
+        max_workers=min(jobs_n, len(groups)), mp_context=_pool_context()
+    )
+    try:
+        futures = [executor.submit(_run_group, group) for group in groups]
+        for future in as_completed(futures):
+            try:
+                group_result = future.result()
+            except BrokenProcessPool as error:
+                lost = error
+                continue
+            for index, stats, wall in group_result:
+                state.complete(index, stats, wall)
+    except BaseException:
+        # Ctrl-C or a failing job: everything completed above is already
+        # in the store; cancel the groups not yet started and propagate.
+        executor.shutdown(wait=False, cancel_futures=True)
+        raise
+    executor.shutdown()
+    if lost is not None:
+        raise WorkerLostError(
+            "a campaign worker died; completed groups are persisted — "
+            "re-run to resume from the store"
+        ) from lost
 
 
 def run_campaign(
@@ -356,11 +383,6 @@ def run_campaign(
     if progress is None and context is not None:
         progress = context.progress
 
-    if context is not None and context.streaming and not context.store_only:
-        from ..service.streaming import run_streaming
-
-        return run_streaming(jobs, jobs_n=jobs_n, store=store, progress=progress)
-
     state = CampaignState(jobs, store=store, progress=progress)
 
     # 1. Store lookups + intra-batch dedup: only unique misses simulate.
@@ -379,18 +401,6 @@ def run_campaign(
                 for index, stats, wall in _run_group(group):
                     state.complete(index, stats, wall)
         else:
-            ctx = _pool_context()
-            workers = min(jobs_n, len(groups))
-            with ctx.Pool(processes=workers) as pool:
-                iterator = pool.imap_unordered(_run_group, groups)
-                try:
-                    for group_result in iterator:
-                        for index, stats, wall in group_result:
-                            state.complete(index, stats, wall)
-                except KeyboardInterrupt:
-                    # Drain: everything completed above is already in the
-                    # store; abandon the rest and propagate.
-                    pool.terminate()
-                    raise
+            _run_pool(groups, jobs_n, state)
 
     return state.finalize()

@@ -1,7 +1,7 @@
 """Persistent, content-addressed result store.
 
 The store is a map from content key to one JSON document, persisted
-through a pluggable :class:`~repro.service.backends.StoreBackend`:
+in a local directory through one of two backends:
 
 * the default :class:`~repro.service.backends.DirectoryBackend` keeps
   the original layout — one JSON document per result, fanned out over
@@ -13,9 +13,7 @@ through a pluggable :class:`~repro.service.backends.StoreBackend`:
           cd/cd5678....json
 
 * :class:`~repro.service.backends.SqliteBackend` adds a derived
-  ``index.sqlite`` for O(1) listing/filtering over large stores;
-* :class:`~repro.service.backends.HTTPBackend` reads from (and writes
-  through to) a running ``repro serve`` instance.
+  ``index.sqlite`` for O(1) listing/filtering over large stores.
 
 Writes are atomic *and durable* (fsync'd temp file + ``os.replace`` +
 parent-directory fsync), so a campaign killed mid-write never leaves a
@@ -38,10 +36,7 @@ from ..service.backends import (
     KIND_PROFILE,
     KIND_RESULT,
     DirectoryBackend,
-    StoreBackend,
-    StoreBackendError,
     StoreStats,
-    write_json_atomic,
 )
 from ..telemetry.profile import RunProfile
 from .jobs import Job, Provenance
@@ -104,47 +99,28 @@ class ResultStore:
     def __init__(
         self,
         root: Optional[Path] = None,
-        backend: Optional[StoreBackend] = None,
+        backend: Optional[DirectoryBackend] = None,
     ):
         if backend is None:
             backend = DirectoryBackend(Path(root) if root is not None else DEFAULT_ROOT)
         self.backend = backend
-        #: Filesystem root for path-backed stores; ``None`` for remote ones.
-        self.root: Optional[Path] = getattr(backend, "root", None)
+        self.root: Path = backend.root
         self.hits = 0
         self.misses = 0
         self.writes = 0
 
     # -- paths ---------------------------------------------------------
-    #
-    # Valid only for path-backed stores (dir/sqlite); remote backends
-    # have no local files and raise.
-
-    def _backend_path(self, kind: str, key: str) -> Path:
-        if not isinstance(self.backend, DirectoryBackend):
-            raise StoreBackendError(
-                f"{self.backend.describe()} has no local paths"
-            )
-        return self.backend.path_for(kind, key)
 
     def path_for(self, key: str) -> Path:
-        return self._backend_path(KIND_RESULT, key)
+        return self.backend.path_for(KIND_RESULT, key)
 
     def profile_path_for(self, key: str) -> Path:
         """A run profile lives next to its result, same content key."""
-        return self._backend_path(KIND_PROFILE, key)
+        return self.backend.path_for(KIND_PROFILE, key)
 
     def fuzz_path_for(self, key: str) -> Path:
         """A fuzz-corpus entry; standalone (no parent result entry)."""
-        return self._backend_path(KIND_FUZZ, key)
-
-    # -- shared write path ---------------------------------------------
-
-    @staticmethod
-    def _write_json(path: Path, document: dict) -> None:
-        """Write one JSON document atomically and durably (fsync'd temp
-        file + rename + parent-directory fsync)."""
-        write_json_atomic(path, document)
+        return self.backend.path_for(KIND_FUZZ, key)
 
     # -- read ----------------------------------------------------------
 

@@ -221,8 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--n", type=int, default=None, help="instructions per run")
     camp.add_argument("--seed", type=int, default=None, help="workload seed")
     camp.add_argument("--store-dir", default=None, metavar="DIR",
-                      help="result-store root or http(s):// URL of a "
-                           "`repro serve` (default results/store)")
+                      help="result-store root (default results/store)")
     camp.add_argument("--backend", choices=("dir", "sqlite"), default="dir",
                       help="local store backend (default dir; "
                            "sqlite adds a metadata index)")
@@ -230,9 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="neither read nor write the result store")
     camp.add_argument("--clear-store", action="store_true",
                       help="empty the store before running")
-    camp.add_argument("--stream", action="store_true",
-                      help="use the asyncio streaming scheduler "
-                           "(byte-identical results; docs/SERVICE.md)")
     camp.add_argument("--quiet", action="store_true",
                       help="suppress per-job progress on stderr")
     _add_sampling_args(camp)
@@ -247,8 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="result-store root (default results/store)")
     serve.add_argument("--backend", choices=("dir", "sqlite"), default="sqlite",
                        help="store backend (default sqlite: indexed listing)")
-    serve.add_argument("--read-only", action="store_true",
-                       help="reject PUT writes from remote campaigns")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request logging on stderr")
 
@@ -270,8 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     for st_cmd in (st_stats, st_gc, st_migrate):
         st_cmd.add_argument("--store-dir", default=None, metavar="DIR",
-                            help="result-store root (default results/store); "
-                                 "stats also accepts an http(s):// URL")
+                            help="result-store root (default results/store)")
         st_cmd.add_argument("--backend", choices=("dir", "sqlite"),
                             default="dir", help="local store backend")
         st_cmd.add_argument("--json", action="store_true",
@@ -679,12 +672,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return subprocess.call(command, env=env)
 
 
-def _open_store(store_dir: Optional[str], backend: str = "dir") -> ResultStore:
-    """A store over a local root (dir/sqlite) or a ``repro serve`` URL."""
+def _open_store(store_dir: Optional[str], backend: str = "dir") -> Optional[ResultStore]:
+    """A dir/sqlite store over a local root; ``None`` (reported) on a bad spec."""
     from .service.backends import open_backend
 
     spec = store_dir if store_dir else str(DEFAULT_ROOT)
-    return ResultStore(backend=open_backend(spec, backend=backend))
+    try:
+        return ResultStore(backend=open_backend(spec, backend=backend))
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return None
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -696,6 +693,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     store: Optional[ResultStore] = None
     if not args.no_store:
         store = _open_store(args.store_dir, args.backend)
+        if store is None:
+            return 2
         if args.clear_store:
             removed = store.clear()
             print(f"store cleared ({removed} entries)", file=sys.stderr)
@@ -710,7 +709,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     with campaign_context(
         jobs_n=args.jobs, store=store, progress=progress, sampling=plan,
-        streaming=args.stream,
     ) as context:
         for experiment in experiments:
             result = experiment.run(**kwargs)
@@ -728,19 +726,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import serve
 
     store = _open_store(args.store_dir, args.backend)
+    if store is None:
+        return 2
     log = None
     if not args.quiet:
         def log(line: str) -> None:
             print(line, file=sys.stderr)
-    server = serve(
-        store, host=args.host, port=args.port,
-        read_only=args.read_only, log=log,
-    )
-    print(
-        f"serving {store.backend.describe()} on {server.url}"
-        + (" (read-only)" if args.read_only else ""),
-        file=sys.stderr,
-    )
+    server = serve(store, host=args.host, port=args.port, log=log)
+    print(f"serving {store.backend.describe()} on {server.url}", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -753,22 +746,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
-    from .service.backends import StoreBackendError
     from .service.maintenance import collect_garbage, migrate_index, store_stats
 
+    store = _open_store(args.store_dir, args.backend)
+    if store is None:
+        return 2
     if args.store_command == "migrate":
-        if args.store_dir and args.store_dir.startswith(("http://", "https://")):
-            print("migrate needs a local store directory", file=sys.stderr)
-            return 2
-        root = Path(args.store_dir) if args.store_dir else DEFAULT_ROOT
-        rows = migrate_index(root)
+        rows = migrate_index(store.root)
         if args.json:
-            print(json.dumps({"root": str(root), "indexed": rows}))
+            print(json.dumps({"root": str(store.root), "indexed": rows}))
         else:
-            print(f"indexed {rows} entr{'y' if rows == 1 else 'ies'} in {root}")
+            print(f"indexed {rows} entr{'y' if rows == 1 else 'ies'} in {store.root}")
         return 0
 
-    store = _open_store(args.store_dir, args.backend)
     if args.store_command == "stats":
         payload = store_stats(store.backend)
         if args.json:
@@ -788,11 +778,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.store_command == "gc":
-        try:
-            report = collect_garbage(store.backend, dry_run=args.dry_run)
-        except StoreBackendError as error:
-            print(error, file=sys.stderr)
-            return 2
+        report = collect_garbage(store.backend, dry_run=args.dry_run)
         payload = report.to_dict()
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))

@@ -1,19 +1,14 @@
-"""Service tier: pluggable store backends, streaming scheduler, HTTP API.
+"""Service tier: local store backends, HTTP read API, store housekeeping.
 
 The campaign layer (PR 2) established the contract — declarative
 :class:`~repro.campaign.jobs.Job` specs hashed into content keys, one
 JSON document per result, atomic writes, warm re-runs answered without
 simulating.  This package promotes that store into a service:
 
-* :mod:`.backends` — the :class:`~.backends.StoreBackend` interface and
-  three implementations: the original sharded local directory
-  (:class:`~.backends.DirectoryBackend`), a sqlite-indexed variant for
-  O(1) metadata queries over 10k+ entries
-  (:class:`~.backends.SqliteBackend`), and an HTTP client with a
-  read-through local cache (:class:`~.backends.HTTPBackend`).
-* :mod:`.streaming` — ``stream_campaign``, an asyncio scheduler that
-  feeds trace-grouped jobs to a pool of worker processes and streams
-  results back as they complete, byte-identical to the serial path.
+* :mod:`.backends` — the store's persistence layer: the original
+  sharded local directory (:class:`~.backends.DirectoryBackend`) and a
+  sqlite-indexed variant for O(1) metadata queries over 10k+ entries
+  (:class:`~.backends.SqliteBackend`).
 * :mod:`.server` — ``repro serve``, a thin stdlib HTTP API answering
   result/experiment/profile queries straight from the store; a warm
   query executes zero simulations.
@@ -21,13 +16,13 @@ simulating.  This package promotes that store into a service:
   directory→sqlite index migration behind ``repro store``.
 
 Only the backend layer is imported eagerly (the campaign store depends
-on it); the scheduler and server are imported by the CLI on demand::
+on it); the server is imported by the CLI on demand::
 
-    from repro.service.streaming import run_streaming, stream_campaign
     from repro.service.server import ReproServer
 
-See ``docs/SERVICE.md`` for the backend matrix, the API routes and the
-consistency/caching semantics.
+Campaigns themselves run through :func:`repro.campaign.run_campaign`,
+the one scheduler.  See ``docs/SERVICE.md`` for the backend matrix, the
+API routes and the consistency semantics.
 """
 
 from .backends import (
@@ -37,12 +32,8 @@ from .backends import (
     KINDS,
     DirectoryBackend,
     EntryMeta,
-    HTTPBackend,
     SqliteBackend,
-    StoreBackend,
-    StoreBackendError,
     StoreStats,
-    StoreUnavailableError,
     open_backend,
 )
 
@@ -53,11 +44,7 @@ __all__ = [
     "KINDS",
     "DirectoryBackend",
     "EntryMeta",
-    "HTTPBackend",
     "SqliteBackend",
-    "StoreBackend",
-    "StoreBackendError",
     "StoreStats",
-    "StoreUnavailableError",
     "open_backend",
 ]

@@ -1,7 +1,7 @@
-"""Pluggable store backends behind one kind/key/document interface.
+"""Local store backends behind one kind/key/document interface.
 
 The campaign store (``repro.campaign.store``) speaks to its persistence
-layer exclusively through :class:`StoreBackend`: a flat map from
+layer exclusively through :class:`DirectoryBackend`: a flat map from
 ``(kind, key)`` to one JSON document, where ``kind`` is one of
 
 * ``"result"`` — a campaign result (``{format, key, spec, stats,
@@ -9,7 +9,7 @@ layer exclusively through :class:`StoreBackend`: a flat map from
 * ``"profile"`` — a telemetry run-profile side-car,
 * ``"fuzz"`` — a standalone fuzz-corpus document.
 
-Three implementations ship behind the interface:
+Two implementations ship:
 
 * :class:`DirectoryBackend` — the original layout: one JSON file per
   document, fanned out over 256 two-hex-digit shard directories, with
@@ -21,18 +21,13 @@ Three implementations ship behind the interface:
   derived state, rebuilt from the directory on corruption or via
   ``repro store migrate`` — but key listing, filtered queries and store
   statistics become single SELECTs instead of a 10k-file directory walk.
-* :class:`HTTPBackend` — a client for a running ``repro serve``
-  instance, with retry/exponential-backoff on transient failures and an
-  optional read-through local cache (any documents fetched once are
-  answered locally from then on; content keys make cached entries
-  immutable, so the cache never needs invalidation).
 
-Durability note (the torn-write guarantee): ``_write_json`` fsyncs the
-temp file *before* the rename and the parent directory *after* it, so a
-crash at any point leaves either the complete old state or the complete
-new state — never a truncated entry.  A crash before the rename leaves
-only a ``.tmp-*`` file, which readers never look at and ``repro store
-gc`` removes.
+Durability note (the torn-write guarantee): ``write_json_atomic`` fsyncs
+the temp file *before* the rename and the parent directory *after* it,
+so a crash at any point leaves either the complete old state or the
+complete new state — never a truncated entry.  A crash before the rename
+leaves only a ``.tmp-*`` file, which readers never look at and ``repro
+store gc`` removes.
 """
 
 from __future__ import annotations
@@ -42,9 +37,6 @@ import os
 import sqlite3
 import tempfile
 import threading
-import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -68,14 +60,6 @@ _SUFFIXES: Dict[str, str] = {
 
 #: Prefix of in-flight temp files (never visible to readers).
 TMP_PREFIX = ".tmp-"
-
-
-class StoreBackendError(RuntimeError):
-    """A backend operation failed in a way retrying will not fix."""
-
-
-class StoreUnavailableError(StoreBackendError):
-    """A remote backend stayed unreachable through every retry."""
 
 
 @dataclass(frozen=True)
@@ -107,19 +91,6 @@ class EntryMeta:
             "sampled": self.sampled,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EntryMeta":
-        return cls(
-            key=str(payload["key"]),
-            kind=str(payload["kind"]),
-            size_bytes=int(payload["size_bytes"]),
-            workload=payload.get("workload"),
-            model=payload.get("model"),
-            n_insts=payload.get("n_insts"),
-            seed=payload.get("seed"),
-            sampled=bool(payload.get("sampled", False)),
-        )
-
 
 @dataclass
 class StoreStats:
@@ -149,58 +120,6 @@ class StoreStats:
             "total_entries": self.total_entries,
             "total_bytes": self.total_bytes,
         }
-
-
-class StoreBackend:
-    """Abstract ``(kind, key) -> JSON document`` persistence interface.
-
-    Implementations must make :meth:`write` atomic (a concurrent or
-    crashed writer can never expose a torn document) and :meth:`read`
-    total (absent, foreign or corrupt entries read as ``None``, never
-    raise).  ``keys``/``entries`` iterate in sorted key order.
-    """
-
-    name = "abstract"
-
-    def read(self, kind: str, key: str) -> Optional[dict]:
-        raise NotImplementedError
-
-    def read_raw(self, kind: str, key: str) -> Optional[bytes]:
-        """The document's exact serialized bytes (``None`` on a miss)."""
-        document = self.read(kind, key)
-        if document is None:
-            return None
-        return json.dumps(document, sort_keys=True).encode("utf-8")
-
-    def write(self, kind: str, key: str, document: dict) -> None:
-        raise NotImplementedError
-
-    def delete(self, kind: str, key: str) -> bool:
-        raise NotImplementedError
-
-    def contains(self, kind: str, key: str) -> bool:
-        return self.read(kind, key) is not None
-
-    def keys(self, kind: str) -> Iterator[str]:
-        raise NotImplementedError
-
-    def entries(
-        self,
-        kind: str = KIND_RESULT,
-        workload: Optional[str] = None,
-        model: Optional[str] = None,
-    ) -> Iterator[EntryMeta]:
-        raise NotImplementedError
-
-    def stats(self) -> StoreStats:
-        raise NotImplementedError
-
-    def clear(self) -> int:
-        """Remove every document; returns how many *result* entries went."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return self.name
 
 
 # -- shared document plumbing ----------------------------------------------
@@ -278,8 +197,14 @@ def classify_filename(name: str) -> Optional[Tuple[str, str]]:
     return None
 
 
-class DirectoryBackend(StoreBackend):
-    """One JSON file per document under 256 two-hex-digit shards."""
+class DirectoryBackend:
+    """One JSON file per document under 256 two-hex-digit shards.
+
+    :meth:`write` is atomic (a concurrent or crashed writer can never
+    expose a torn document) and :meth:`read` is total (absent, foreign or
+    corrupt entries read as ``None``, never raise).  ``keys``/``entries``
+    iterate in sorted key order.
+    """
 
     name = "dir"
 
@@ -301,6 +226,7 @@ class DirectoryBackend(StoreBackend):
     # -- document IO ---------------------------------------------------
 
     def read_raw(self, kind: str, key: str) -> Optional[bytes]:
+        """The document's exact serialized bytes (``None`` on a miss)."""
         try:
             raw = self.path_for(kind, key).read_bytes()
         except OSError:
@@ -410,6 +336,7 @@ class DirectoryBackend(StoreBackend):
         return stats
 
     def clear(self) -> int:
+        """Remove every document; returns how many *result* entries went."""
         removed = 0
         for kind in KINDS:
             for key in list(self.keys(kind)):
@@ -701,197 +628,30 @@ class SqliteBackend(DirectoryBackend):
         return removed
 
 
-class HTTPBackend(StoreBackend):
-    """Client for a running ``repro serve`` instance.
-
-    Reads go through an optional local *read-through cache* (a
-    :class:`DirectoryBackend` under ``cache_dir``): a key fetched once
-    is answered locally forever after — content keys make documents
-    immutable, so the cache needs no invalidation and even survives the
-    remote going away.  Transient failures (connection refused, 5xx,
-    timeouts) are retried ``retries`` times with exponential backoff;
-    404 is an authoritative miss and is never retried.
-    """
-
-    name = "http"
-
-    #: HTTP status codes treated as transient.
-    _TRANSIENT = frozenset({502, 503, 504})
-
-    def __init__(
-        self,
-        base_url: str,
-        cache_dir: Optional[Path] = None,
-        retries: int = 3,
-        backoff_s: float = 0.2,
-        timeout_s: float = 10.0,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.cache = DirectoryBackend(Path(cache_dir)) if cache_dir else None
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.timeout_s = timeout_s
-        self.requests = 0
-        self.retried = 0
-        self.cache_hits = 0
-
-    # -- transport -----------------------------------------------------
-
-    def _request(
-        self, method: str, path: str, body: Optional[bytes] = None
-    ) -> Tuple[int, bytes]:
-        """One HTTP exchange with retry/backoff; returns (status, body)."""
-        url = f"{self.base_url}{path}"
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self.retried += 1
-                time.sleep(self.backoff_s * (2 ** (attempt - 1)))
-            request = urllib.request.Request(url, data=body, method=method)
-            if body is not None:
-                request.add_header("Content-Type", "application/json")
-            self.requests += 1
-            try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout_s
-                ) as response:
-                    return response.status, response.read()
-            except urllib.error.HTTPError as error:
-                payload = error.read()
-                if error.code not in self._TRANSIENT:
-                    return error.code, payload
-                last_error = error
-            except (urllib.error.URLError, ConnectionError, OSError) as error:
-                last_error = error
-        raise StoreUnavailableError(
-            f"{method} {url} failed after {self.retries + 1} attempt(s): "
-            f"{last_error}"
-        )
-
-    def _get_json(self, path: str) -> dict:
-        status, payload = self._request("GET", path)
-        if status != 200:
-            raise StoreBackendError(f"GET {path} -> HTTP {status}")
-        document = json.loads(payload)
-        if not isinstance(document, dict):
-            raise StoreBackendError(f"GET {path} returned a non-object")
-        return document
-
-    # -- document IO ---------------------------------------------------
-
-    def read_raw(self, kind: str, key: str) -> Optional[bytes]:
-        if self.cache is not None:
-            cached = self.cache.read_raw(kind, key)
-            if cached is not None:
-                self.cache_hits += 1
-                return cached
-        status, payload = self._request("GET", f"/{kind}/{key}")
-        if status == 404:
-            return None
-        if status != 200:
-            raise StoreBackendError(f"GET /{kind}/{key} -> HTTP {status}")
-        try:
-            document = json.loads(payload)
-        except ValueError:
-            return None
-        if not isinstance(document, dict):
-            return None
-        if self.cache is not None:
-            self.cache.write(kind, key, document)
-        return payload
-
-    def read(self, kind: str, key: str) -> Optional[dict]:
-        raw = self.read_raw(kind, key)
-        if raw is None:
-            return None
-        document = json.loads(raw)
-        return document if isinstance(document, dict) else None
-
-    def write(self, kind: str, key: str, document: dict) -> None:
-        body = json.dumps(document, sort_keys=True).encode("utf-8")
-        status, payload = self._request("PUT", f"/{kind}/{key}", body)
-        if status not in (200, 201, 204):
-            raise StoreBackendError(f"PUT /{kind}/{key} -> HTTP {status}")
-        if self.cache is not None:
-            self.cache.write(kind, key, document)
-
-    def delete(self, kind: str, key: str) -> bool:
-        raise StoreBackendError(
-            "the HTTP backend cannot delete remote entries; run "
-            "`repro store gc` next to the serving store"
-        )
-
-    def contains(self, kind: str, key: str) -> bool:
-        if self.cache is not None and self.cache.contains(kind, key):
-            return True
-        return self.read_raw(kind, key) is not None
-
-    # -- listing / stats -----------------------------------------------
-
-    def keys(self, kind: str) -> Iterator[str]:
-        for meta in self.entries(kind):
-            yield meta.key
-
-    def entries(
-        self,
-        kind: str = KIND_RESULT,
-        workload: Optional[str] = None,
-        model: Optional[str] = None,
-    ) -> Iterator[EntryMeta]:
-        query = f"kind={kind}"
-        if workload is not None:
-            query += f"&workload={workload}"
-        if model is not None:
-            query += f"&model={model}"
-        payload = self._get_json(f"/entries?{query}")
-        for item in payload.get("entries", ()):
-            yield EntryMeta.from_dict(item)
-
-    def stats(self) -> StoreStats:
-        payload = self._get_json("/store/stats")
-        stats = StoreStats(backend=f"{self.describe()} -> {payload.get('backend')}")
-        stats.entries = {k: int(v) for k, v in payload.get("entries", {}).items()}
-        stats.bytes = {k: int(v) for k, v in payload.get("bytes", {}).items()}
-        stats.tmp_files = int(payload.get("tmp_files", 0))
-        stats.index_bytes = int(payload.get("index_bytes", 0))
-        return stats
-
-    def clear(self) -> int:
-        raise StoreBackendError(
-            "the HTTP backend cannot clear a remote store; run "
-            "`repro store gc` / `--clear-store` next to the serving store"
-        )
-
-    def describe(self) -> str:
-        return f"{self.name}:{self.base_url}"
-
-
-#: Local backend constructors by name (HTTP is URL-selected).
-LOCAL_BACKENDS = {
+#: Backend constructors by name.
+BACKENDS = {
     DirectoryBackend.name: DirectoryBackend,
     SqliteBackend.name: SqliteBackend,
 }
 
 
-def open_backend(
-    spec: str,
-    backend: Optional[str] = None,
-    cache_dir: Optional[Path] = None,
-) -> StoreBackend:
-    """Build a backend from a CLI-style store spec.
+def open_backend(spec: str, backend: Optional[str] = None) -> DirectoryBackend:
+    """Build a backend over the local store directory ``spec``.
 
-    ``spec`` is either a local directory path or an ``http(s)://`` URL
-    of a running ``repro serve``.  ``backend`` picks the local flavour
-    (``"dir"``, the default, or ``"sqlite"``); ``cache_dir`` installs a
-    read-through cache on HTTP backends.
+    ``backend`` picks the flavour: ``"dir"`` (the default) or
+    ``"sqlite"``.  An ``http(s)://`` spec is refused rather than taken as
+    a relative directory name.
     """
     if spec.startswith(("http://", "https://")):
-        return HTTPBackend(spec, cache_dir=cache_dir)
+        raise ValueError(
+            f"{spec}: remote (http) stores were removed; "
+            "give a local store directory"
+        )
     name = backend or DirectoryBackend.name
     try:
-        factory = LOCAL_BACKENDS[name]
+        factory = BACKENDS[name]
     except KeyError:
         raise ValueError(
-            f"unknown backend {name!r}; choose from {sorted(LOCAL_BACKENDS)}"
+            f"unknown backend {name!r}; choose from {sorted(BACKENDS)}"
         ) from None
     return factory(Path(spec))

@@ -1,9 +1,5 @@
 """Store housekeeping behind ``repro store``: stats, gc, migrate.
 
-All three operate on *path-backed* stores (dir/sqlite) — housekeeping a
-remote store means running these next to the serving process, which is
-also why the HTTP backend refuses ``delete``/``clear``.
-
 ``gc`` prunes exactly three classes of garbage, none of which a correct
 campaign leaves behind:
 
@@ -21,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .backends import (
     KIND_FUZZ,
@@ -29,8 +25,6 @@ from .backends import (
     KIND_RESULT,
     DirectoryBackend,
     SqliteBackend,
-    StoreBackend,
-    StoreBackendError,
     classify_filename,
 )
 
@@ -60,17 +54,8 @@ class GCReport:
         }
 
 
-def _require_local(backend: StoreBackend) -> DirectoryBackend:
-    if not isinstance(backend, DirectoryBackend):
-        raise StoreBackendError(
-            f"store maintenance needs a local store, not {backend.describe()}"
-        )
-    return backend
-
-
-def collect_garbage(backend: StoreBackend, dry_run: bool = False) -> GCReport:
+def collect_garbage(backend: DirectoryBackend, dry_run: bool = False) -> GCReport:
     """Prune temp files, orphaned profiles and corrupt documents."""
-    local = _require_local(backend)
     report = GCReport(dry_run=dry_run, corrupt={k: 0 for k in (KIND_RESULT, KIND_PROFILE, KIND_FUZZ)})
 
     def reclaim(path: Path) -> None:
@@ -84,7 +69,7 @@ def collect_garbage(backend: StoreBackend, dry_run: bool = False) -> GCReport:
             except OSError:
                 pass
 
-    for tmp in local.temp_files():
+    for tmp in backend.temp_files():
         report.tmp_removed += 1
         reclaim(tmp)
 
@@ -94,8 +79,8 @@ def collect_garbage(backend: StoreBackend, dry_run: bool = False) -> GCReport:
     # shard listing is fragile.
     corrupt: List[tuple] = []
     profile_keys: List[str] = []
-    if local.root.is_dir():
-        for shard in sorted(local.root.iterdir()):
+    if backend.root.is_dir():
+        for shard in sorted(backend.root.iterdir()):
             if not shard.is_dir():
                 continue
             for entry in sorted(shard.iterdir()):
@@ -103,7 +88,7 @@ def collect_garbage(backend: StoreBackend, dry_run: bool = False) -> GCReport:
                 if classified is None:
                     continue
                 kind, key = classified
-                if local.read(kind, key) is None:
+                if backend.read(kind, key) is None:
                     corrupt.append((kind, key, entry))
                 elif kind == KIND_PROFILE:
                     profile_keys.append(key)
@@ -111,15 +96,15 @@ def collect_garbage(backend: StoreBackend, dry_run: bool = False) -> GCReport:
     for kind, key, path in corrupt:
         report.corrupt[kind] += 1
         reclaim(path)
-        if not dry_run and isinstance(local, SqliteBackend):
-            local.delete(kind, key)  # keep the index in step
+        if not dry_run and isinstance(backend, SqliteBackend):
+            backend.delete(kind, key)  # keep the index in step
 
     for key in profile_keys:
-        if not local.contains(KIND_RESULT, key):
+        if not backend.contains(KIND_RESULT, key):
             report.orphan_profiles += 1
-            reclaim(local.path_for(KIND_PROFILE, key))
-            if not dry_run and isinstance(local, SqliteBackend):
-                local.delete(KIND_PROFILE, key)
+            reclaim(backend.path_for(KIND_PROFILE, key))
+            if not dry_run and isinstance(backend, SqliteBackend):
+                backend.delete(KIND_PROFILE, key)
 
     return report
 
@@ -135,16 +120,6 @@ def migrate_index(root: Path) -> int:
     return SqliteBackend(Path(root)).rebuild_index()
 
 
-def store_stats(backend: StoreBackend) -> dict:
-    """The ``repro store stats`` payload (works on any backend)."""
+def store_stats(backend: DirectoryBackend) -> dict:
+    """The ``repro store stats`` payload for a dir or sqlite store."""
     return backend.stats().to_dict()
-
-
-def open_local_backend(root: Optional[Path], flavour: str) -> StoreBackend:
-    """CLI helper: a dir/sqlite backend over ``root`` (default store)."""
-    from ..campaign.store import DEFAULT_ROOT
-
-    target = Path(root) if root is not None else DEFAULT_ROOT
-    if flavour == SqliteBackend.name:
-        return SqliteBackend(target)
-    return DirectoryBackend(target)

@@ -20,11 +20,12 @@ Routes::
     GET  /experiment/<id>?...           store-only experiment replay
     GET  /diff?baseline=&target=&threshold=   stored-profile degradation check
     POST /job                           job spec -> content key resolution
-    PUT  /result|profile|fuzz/<key>     remote write (unless --read-only)
 
-Document routes return the store's exact bytes (``read_raw``), so a
-response is byte-identical to the underlying file — the property the
-HTTP backend's read-through cache and the CI smoke job rely on.
+The server has no write route: the store is written only by campaigns
+running next to it, and ``BaseHTTPRequestHandler`` answers a PUT with
+501.  Document routes return the store's exact bytes (``read_raw``), so
+a response is byte-identical to the underlying file — the property the
+CI smoke job relies on.
 
 The handler never prints: request logging goes through the server's
 ``log`` callback (the CLI passes a stderr writer; tests pass ``None``).
@@ -108,12 +109,10 @@ class ReproServer(ThreadingHTTPServer):
         self,
         address: Tuple[str, int],
         store: ResultStore,
-        read_only: bool = False,
         log: Optional[Callable[[str], None]] = None,
     ):
         super().__init__(address, _Handler)
         self.store = store
-        self.read_only = read_only
         self.log = log
         self.simulations_executed = 0
         self.queries = 0
@@ -321,33 +320,12 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    # -- PUT -----------------------------------------------------------
-
-    def do_PUT(self) -> None:
-        self._dispatch(self._put)
-
-    def _put(self, path: str, query: Dict[str, str]) -> None:
-        kind_key = self._kind_key(path)
-        if kind_key is None:
-            raise ServeError(404, f"unknown route {path}")
-        if self.server.read_only:
-            raise ServeError(403, "server is read-only")
-        try:
-            document = json.loads(self._read_body() or b"null")
-        except ValueError:
-            raise ServeError(400, "body is not valid JSON") from None
-        if not isinstance(document, dict):
-            raise ServeError(400, "body must be a JSON object")
-        self.server.store.backend.write(kind_key[0], kind_key[1], document)
-        self._send_json(201, {"key": kind_key[1], "kind": kind_key[0]})
-
 
 def serve(
     store: ResultStore,
     host: str = "127.0.0.1",
     port: int = 8321,
-    read_only: bool = False,
     log: Optional[Callable[[str], None]] = None,
 ) -> ReproServer:
     """Build a bound (not yet running) server; call ``serve_forever``."""
-    return ReproServer((host, port), store, read_only=read_only, log=log)
+    return ReproServer((host, port), store, log=log)

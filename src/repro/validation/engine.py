@@ -8,17 +8,21 @@ from two integers, and a shrunk case is replayable forever from its
 corpus key.
 
 Cases are independent, which is what makes the 10k-program campaign
-tractable: ``jobs_n > 1`` fans case indices over a process pool (fork
-keeps the warm interpreter), and results return in index order so a
-parallel campaign reports byte-identically to a serial one.
+tractable: ``jobs_n > 1`` fans case indices over the campaign
+scheduler's process-pool context (fork keeps the warm interpreter), and
+results return in index order so a parallel campaign reports
+byte-identically to a serial one.  A worker process dying raises
+:class:`~repro.campaign.WorkerLostError` instead of hanging.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..campaign.scheduler import WorkerLostError, _pool_context
 from ..campaign.store import ResultStore
 from ..redundancy import EXEC_DUP, Fault, FaultInjector
 from ..simulation.runner import MODELS
@@ -213,12 +217,15 @@ def run_fuzz(
     args = [(seed, index, n_insts, model_list, synthetic_bug) for index in range(n)]
 
     if jobs_n > 1 and n > 1:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        with ctx.Pool(processes=min(jobs_n, n)) as pool:
-            outcomes = pool.map(_case_worker, args, chunksize=8)
+        with ProcessPoolExecutor(
+            max_workers=min(jobs_n, n), mp_context=_pool_context()
+        ) as executor:
+            try:
+                outcomes = list(executor.map(_case_worker, args, chunksize=8))
+            except BrokenProcessPool as error:
+                raise WorkerLostError(
+                    "a fuzz worker died; re-run the campaign"
+                ) from error
     else:
         outcomes = [_case_worker(a) for a in args]
 

@@ -8,7 +8,8 @@ under test consume exactly the instructions the test wrote.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import threading
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.isa import Opcode, StaticInst
 from repro.workloads import Program, Trace
@@ -57,3 +58,27 @@ def addi(dst: int, src: int, imm: int) -> Tuple:
 
 def nop_row() -> Tuple:
     return (Opcode.NOP, None, None, None, 0)
+
+
+def call_with_timeout(fn: Callable[[], Any], seconds: float) -> Any:
+    """Call ``fn`` on a daemon thread; fail (not hang) if it overruns.
+
+    Re-raises whatever ``fn`` raised, so ``pytest.raises`` works around
+    it.  ``pytest-timeout`` is not a dependency, and a scheduler that
+    loses a worker can block forever.
+    """
+    outcome: dict = {}
+
+    def target() -> None:
+        try:
+            outcome["value"] = fn()
+        except BaseException as error:  # re-raised on the caller's thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"call did not return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome.get("value")

@@ -11,14 +11,18 @@ The heart of the subsystem's contract:
 
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
+from helpers import call_with_timeout
 from repro.campaign import (
     CODE_VERSION,
     Job,
     Provenance,
     ResultStore,
+    WorkerLostError,
     campaign_context,
     current_context,
     job_key,
@@ -316,12 +320,47 @@ class TestCrashDurability:
         assert store.get(key) is not None
 
 
+class TestWorkerLoss:
+    def test_worker_kill_raises_and_resumes(self, tmp_path, monkeypatch):
+        from repro.campaign import scheduler
+
+        store_root = tmp_path / "store"
+        jobs = [Job("gzip", N), Job("ammp", N)]
+        gzip_key = job_key(jobs[0])
+        real_execute = scheduler.execute_job
+
+        def killer(job):
+            if job.workload == "ammp":
+                # Die only after the sibling group's result is durably in
+                # the store, so the resume assertion is deterministic.
+                probe = ResultStore(store_root)
+                for _ in range(600):
+                    if gzip_key in probe:
+                        break
+                    time.sleep(0.05)
+                os._exit(13)
+            return real_execute(job)
+
+        # Forked pool workers inherit the patched module global.
+        monkeypatch.setattr(scheduler, "execute_job", killer)
+        with pytest.raises(WorkerLostError):
+            call_with_timeout(
+                lambda: run_campaign(jobs, jobs_n=2, store=ResultStore(store_root)),
+                60,
+            )
+        assert gzip_key in ResultStore(store_root)
+
+        monkeypatch.setattr(scheduler, "execute_job", real_execute)
+        resumed = run_campaign(jobs, jobs_n=2, store=ResultStore(store_root))
+        assert resumed.store_hits == 1  # gzip came back from the store
+        assert resumed.executed == 1  # only the killed group re-ran
+        assert [r.job for r in resumed.results] == jobs
+
+
 class TestConcurrentWriters:
     def test_same_key_two_processes_one_durable_entry(self, tmp_path):
         """Two processes racing to put the same key must leave exactly one
         well-formed entry (last rename wins; both wrote identical stats)."""
-        import os
-
         job = Job("gzip", N)
         stats = SimStats(cycles=777, committed=N)
         barrier_dir = tmp_path / "ready"

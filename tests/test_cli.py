@@ -239,21 +239,12 @@ class TestStoreCommands:
         assert "0 simulation(s) run" in capsys.readouterr().err
 
     def test_store_migrate_rejects_urls(self, capsys):
-        assert main(["store", "migrate", "--store-dir", "http://x:1"]) == 2
-        assert "local store" in capsys.readouterr().err
-
-
-class TestStreamingFlag:
-    def test_campaign_stream_matches_serial(self, capsys, tmp_path):
-        base = ["campaign", "F6", "--apps", "gzip", "--n", "3000", "--quiet"]
-        assert main(base + ["--store-dir", str(tmp_path / "a")]) == 0
-        serial = capsys.readouterr().out
-        stream = base + [
-            "--store-dir", str(tmp_path / "b"), "--jobs", "2", "--stream",
-        ]
-        assert main(stream) == 0
-        assert capsys.readouterr().out == serial
-        assert main(stream) == 0
-        warm = capsys.readouterr()
-        assert warm.out == serial
-        assert "0 simulation(s) run" in warm.err
+        url = "http://x:1"
+        for argv in (
+            ["store", "migrate", "--store-dir", url],
+            ["campaign", "F6", "--apps", "gzip", "--n", "3000",
+             "--store-dir", url, "--quiet"],
+            ["serve", "--store-dir", url, "--port", "0", "--quiet"],
+        ):
+            assert main(argv) == 2
+            assert "local store" in capsys.readouterr().err

@@ -2,21 +2,17 @@
 
 The contract under test:
 
-* all three store backends answer the same (kind, key) -> document
+* both store backends answer the same (kind, key) -> document
   interface, with byte-fidelity on ``read_raw``;
 * the sqlite index is derived state — corruption and drift are repaired
   by rebuild, and queries keep working;
-* the streaming scheduler is byte-identical to the serial path, streams
-  results as they complete, and resumes after a killed worker;
 * ``repro serve`` answers warm queries with **zero simulations**
-  (counter-asserted) and refuses cold/direct queries instead of
-  simulating.
+  (counter-asserted), refuses cold/direct queries instead of simulating,
+  and has no write route.
 """
 
 import json
-import os
 import threading
-import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -30,26 +26,20 @@ from repro.campaign import (
     ResultStore,
     StoreMissError,
     campaign_context,
-    job_key,
     job_spec,
     run_campaign,
 )
 from repro.core import SimStats
-from repro.service import streaming as streaming_mod
 from repro.service.backends import (
     KIND_FUZZ,
     KIND_PROFILE,
     KIND_RESULT,
     DirectoryBackend,
-    HTTPBackend,
     SqliteBackend,
-    StoreBackendError,
-    StoreUnavailableError,
     open_backend,
 )
 from repro.service.maintenance import collect_garbage, migrate_index
 from repro.service.server import serve
-from repro.service.streaming import WorkerLostError, run_streaming
 
 N = 3000
 
@@ -65,8 +55,8 @@ def stats_dicts(outcome):
 
 
 @contextmanager
-def running_server(store, read_only=False):
-    server = serve(store, port=0, read_only=read_only)
+def running_server(store):
+    server = serve(store, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -169,16 +159,11 @@ class TestResultStoreOverBackends:
             docs[name] = store.path_for(key).read_bytes()
         assert docs["dir"] == docs["sqlite"], "backends persist different bytes"
 
-    def test_http_store_has_no_local_paths(self, tmp_path):
-        store = ResultStore(backend=HTTPBackend("http://127.0.0.1:1"))
-        assert store.root is None
-        with pytest.raises(StoreBackendError, match="no local paths"):
-            store.path_for("ab" * 32)
-
     def test_open_backend_dispatch(self, tmp_path):
         assert isinstance(open_backend(str(tmp_path)), DirectoryBackend)
         assert isinstance(open_backend(str(tmp_path), backend="sqlite"), SqliteBackend)
-        assert isinstance(open_backend("http://x:1"), HTTPBackend)
+        with pytest.raises(ValueError, match="remote .* removed"):
+            open_backend("http://x:1")
         with pytest.raises(ValueError, match="unknown backend"):
             open_backend(str(tmp_path), backend="s3")
 
@@ -220,80 +205,6 @@ class TestSqliteIndex:
         backend.delete(KIND_RESULT, key)
         assert list(backend.keys(KIND_RESULT)) == []
         assert not backend.path_for(KIND_RESULT, key).exists()
-
-
-class TestStreaming:
-    def test_byte_identical_to_serial(self, tmp_path):
-        jobs = [
-            Job("gzip", N, model="sie"),
-            Job("gzip", N, model="die"),
-            Job("ammp", N, model="sie"),
-            Job("gzip", N, model="sie"),  # intra-batch duplicate
-        ]
-        serial = run_campaign(jobs, jobs_n=1, store=ResultStore(tmp_path / "a"))
-        streamed = run_streaming(jobs, jobs_n=2, store=ResultStore(tmp_path / "b"))
-        assert stats_dicts(serial) == stats_dicts(streamed)
-        assert [r.job for r in streamed.results] == jobs
-        assert streamed.executed == serial.executed == 3
-        assert streamed.deduped == 1
-
-    def test_warm_stream_is_all_hits_and_hits_stream_first(self, tmp_path):
-        import asyncio
-
-        store = ResultStore(tmp_path / "store")
-        jobs = [Job("gzip", N, model=m) for m in ("sie", "die")]
-        run_campaign(jobs, jobs_n=1, store=store)
-        cold_miss = Job("ammp", N)
-
-        async def collect():
-            out = []
-            async for result in streaming_mod.stream_campaign(
-                [cold_miss] + jobs, jobs_n=1, store=store
-            ):
-                out.append(result)
-            return out
-
-        results = asyncio.run(collect())
-        # The two store hits arrive before the simulated miss.
-        assert [r.from_store for r in results] == [True, True, False]
-        assert results[-1].job == cold_miss
-
-    def test_streaming_via_campaign_context(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        jobs = [Job("gzip", N), Job("ammp", N)]
-        with campaign_context(jobs_n=2, store=store, streaming=True) as context:
-            outcome = run_campaign(jobs)
-        assert outcome.executed == 2 and context.executed == 2
-        assert [r.job for r in outcome.results] == jobs
-
-    def test_worker_kill_raises_and_resumes(self, tmp_path, monkeypatch):
-        store_root = tmp_path / "store"
-        jobs = [Job("gzip", N), Job("ammp", N)]
-        gzip_key = job_key(jobs[0])
-        real_runner = streaming_mod._run_group
-
-        def killer(group):
-            if group[0][1].workload == "ammp":
-                # Die only after the sibling group's result is durably in
-                # the store, so the resume assertion is deterministic.
-                probe = ResultStore(store_root)
-                for _ in range(600):
-                    if gzip_key in probe:
-                        break
-                    time.sleep(0.05)
-                os._exit(13)
-            return real_runner(group)
-
-        monkeypatch.setattr(streaming_mod, "GROUP_RUNNER", killer)
-        with pytest.raises(WorkerLostError):
-            run_streaming(jobs, jobs_n=2, store=ResultStore(store_root))
-        assert gzip_key in ResultStore(store_root)
-
-        monkeypatch.setattr(streaming_mod, "GROUP_RUNNER", real_runner)
-        resumed = run_streaming(jobs, jobs_n=2, store=ResultStore(store_root))
-        assert resumed.store_hits == 1  # gzip came back from the store
-        assert resumed.executed == 1  # only the killed group re-ran
-        assert [r.job for r in resumed.results] == jobs
 
 
 class TestStoreOnly:
@@ -398,89 +309,19 @@ class TestServe:
                 assert status == 400
                 assert "live pipeline state" in json.loads(body)["error"]
 
-    def test_put_writes_and_read_only_refuses(self, tmp_path):
-        store = ResultStore(tmp_path / "rw")
+    def test_put_is_501_and_store_unchanged(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = put_result(store, Job("gzip", N))
+        before = store.path_for(key).read_bytes()
         with running_server(store) as server:
             request = urllib.request.Request(
-                f"{server.url}/fuzz/{'ab' * 32}",
-                data=json.dumps({"spec": {}}).encode(),
-                method="PUT",
-            )
-            with urllib.request.urlopen(request) as response:
-                assert response.status == 201
-            assert store.get_fuzz("ab" * 32) == {"spec": {}}
-        with running_server(ResultStore(tmp_path / "ro"), read_only=True) as server:
-            request = urllib.request.Request(
-                f"{server.url}/fuzz/{'ab' * 32}", data=b"{}", method="PUT"
+                f"{server.url}/result/{key}", data=b"{}", method="PUT"
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
-            assert excinfo.value.code == 403
-
-
-class TestHTTPBackend:
-    def test_remote_reads_and_read_through_cache(self, tmp_path):
-        origin = ResultStore(tmp_path / "origin")
-        job = Job("gzip", N)
-        key = put_result(origin, job)
-        origin_bytes = origin.path_for(key).read_bytes()
-        with running_server(origin) as server:
-            remote = ResultStore(
-                backend=HTTPBackend(server.url, cache_dir=tmp_path / "cache")
-            )
-            got, provenance = remote.get(key)
-            assert got.cycles == 100 and provenance.source == "store"
-            assert remote.backend.cache_hits == 0
-            remote.get(key)
-            assert remote.backend.cache_hits == 1
-            cached = remote.backend.cache.path_for(KIND_RESULT, key).read_bytes()
-            assert cached == origin_bytes, "cache is not byte-faithful"
-        # Server gone: the cache still answers.
-        assert remote.get(key) is not None
-
-    def test_remote_campaign_writes_through(self, tmp_path):
-        origin = ResultStore(tmp_path / "origin")
-        with running_server(origin) as server:
-            remote = ResultStore(backend=HTTPBackend(server.url))
-            outcome = run_campaign([Job("gzip", N)], store=remote)
-            assert outcome.executed == 1
-            assert len(origin) == 1  # the PUT landed in the origin store
-            warm = run_campaign([Job("gzip", N)], store=remote)
-            assert warm.executed == 0 and warm.store_hits == 1
-
-    def test_miss_is_none_not_retry(self, tmp_path):
-        with running_server(ResultStore(tmp_path)) as server:
-            backend = HTTPBackend(server.url, retries=3, backoff_s=0.001)
-            assert backend.read(KIND_RESULT, "0" * 64) is None
-            assert backend.retried == 0, "404 must not be retried"
-
-    def test_transient_failures_retry_with_backoff(self, tmp_path, monkeypatch):
-        origin = ResultStore(tmp_path)
-        key = put_result(origin, Job("gzip", N))
-        with running_server(origin) as server:
-            real_urlopen = urllib.request.urlopen
-            failures = {"left": 2}
-
-            def flaky(request, timeout=None):
-                if failures["left"] > 0:
-                    failures["left"] -= 1
-                    raise urllib.error.URLError("connection reset")
-                return real_urlopen(request, timeout=timeout)
-
-            monkeypatch.setattr(urllib.request, "urlopen", flaky)
-            backend = HTTPBackend(server.url, retries=3, backoff_s=0.001)
-            assert backend.read(KIND_RESULT, key) is not None
-            assert backend.retried == 2
-
-    def test_unreachable_raises_unavailable(self):
-        backend = HTTPBackend("http://127.0.0.1:9", retries=1, backoff_s=0.001)
-        with pytest.raises(StoreUnavailableError, match="after 2 attempt"):
-            backend.read(KIND_RESULT, "0" * 64)
-
-    def test_remote_delete_refused(self):
-        backend = HTTPBackend("http://127.0.0.1:9")
-        with pytest.raises(StoreBackendError, match="cannot delete"):
-            backend.delete(KIND_RESULT, "0" * 64)
+            assert excinfo.value.code == 501
+        assert store.path_for(key).read_bytes() == before
+        assert list(store.keys()) == [key]
 
 
 class TestGarbageCollection:
@@ -515,7 +356,3 @@ class TestGarbageCollection:
         report = collect_garbage(store.backend)
         assert report.total_removed == 0
         assert store.get_fuzz("ef" * 32) is not None
-
-    def test_gc_refuses_remote_stores(self):
-        with pytest.raises(StoreBackendError, match="local store"):
-            collect_garbage(HTTPBackend("http://127.0.0.1:9"))

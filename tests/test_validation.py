@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
+from helpers import call_with_timeout
+from repro.campaign import WorkerLostError
 from repro.campaign.store import ResultStore
 from repro.redundancy import EXEC_DUP, Fault
 from repro.simulation import MODELS
@@ -46,6 +49,7 @@ from repro.validation import (
     sample_profile,
     shrink_case,
 )
+from repro.validation import engine
 from repro.validation import invariants as invariants_module
 from repro.validation.corpus import faults_from_spec
 from repro.validation.engine import SYNTHETIC_BUG_MODEL
@@ -353,6 +357,27 @@ def test_parallel_fuzz_matches_serial():
     )
     assert serial.clean and parallel.clean
     assert serial.models == parallel.models == FAST_MODELS
+
+
+_REAL_CASE_WORKER = engine._case_worker
+
+
+def _case_worker_dying_on_index_3(args):
+    # Module-level so the pool can pickle it by name.
+    if args[1] == 3:
+        os._exit(13)
+    return _REAL_CASE_WORKER(args)
+
+
+def test_parallel_fuzz_raises_on_lost_worker(monkeypatch):
+    monkeypatch.setattr(engine, "_case_worker", _case_worker_dying_on_index_3)
+    with pytest.raises(WorkerLostError):
+        call_with_timeout(
+            lambda: run_fuzz(
+                6, seed=2, models=FAST_MODELS, n_insts=200, store=None, jobs_n=2
+            ),
+            60,
+        )
 
 
 def test_case_outcomes_identical_across_workers():
