@@ -223,6 +223,25 @@ class TestStoreOnly:
         assert outcome.store_hits == 1 and context.executed == 0
 
 
+class TestStreaming:
+    """Store-backed parallel campaigns hand back results as they finish;
+    the outcome must still match a serial run, in submission order."""
+
+    def test_byte_identical_to_serial(self, tmp_path):
+        jobs = [
+            Job("gzip", N, model="sie"),
+            Job("gzip", N, model="die"),
+            Job("ammp", N, model="sie"),
+            Job("gzip", N, model="sie"),  # intra-batch duplicate
+        ]
+        serial = run_campaign(jobs, jobs_n=1, store=ResultStore(tmp_path / "a"))
+        parallel = run_campaign(jobs, jobs_n=2, store=ResultStore(tmp_path / "b"))
+        assert stats_dicts(serial) == stats_dicts(parallel)
+        assert [r.job for r in parallel.results] == jobs
+        assert parallel.executed == serial.executed == 3
+        assert parallel.deduped == 1
+
+
 class TestServe:
     def test_healthz_and_document_byte_fidelity(self, tmp_path):
         store = ResultStore(backend=SqliteBackend(tmp_path))
