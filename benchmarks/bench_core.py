@@ -1,31 +1,28 @@
-"""Core-speed benchmark: quiescent-cycle skipping + decoded traces.
+"""Core-speed benchmark: the cycle-level core against an older tree.
 
 Times the F2 baseline cell set (the twelve SPEC-like apps on
-``sie`` / ``die`` / ``die-irb``) up to three ways and writes
+``sie`` / ``die`` / ``die-irb``) one or two ways and writes
 ``results/BENCH_core.json``::
 
     python benchmarks/bench_core.py [--n INSTS] [--apps a,b] [--repeats K]
         [--baseline-src DIR] [--min-seed-speedup X] [--check [--tolerance PCT]]
 
-* ``fast`` — the shipping configuration: quiescent-cycle fast-forward
-  plus the decoded-trace cache.
-* ``no_skip`` — ``REPRO_NO_SKIP=1``, the bit-exactness escape hatch.
-  The fast/no_skip ratio (``skip_speedup``) is measured inside one
-  process on one tree, so it is the most machine-portable number here.
+* ``fast`` — this tree: the shipping core with its decoded-trace cache.
 * ``seed`` — optional: the same cells against an older checkout
   (``--baseline-src path/to/seed/src``), run in a subprocess with
-  ``PYTHONPATH`` pointing at that tree.  ``speedup_vs_seed`` is the
-  end-to-end claim (decoded traces included, which ``no_skip`` keeps).
+  ``PYTHONPATH`` pointing at that tree.  ``speedup_vs_seed`` (seed wall
+  over fast wall) is the end-to-end claim.
 
 Noise controls follow ``bench_telemetry.py``: configurations interleave
 within each repeat, each cell keeps its minimum across repeats, and the
 timed region runs with the GC collected-then-disabled.
 
 ``--check`` re-reads the committed ``results/BENCH_core.json`` first and
-exits non-zero if a measured speedup regressed more than ``--tolerance``
-percent below the committed value (the CI perf-smoke gate); it does not
-overwrite the committed file.  ``REPRO_BENCH_N`` / ``REPRO_BENCH_APPS``
-are honoured as defaults, like the other benchmarks.
+exits non-zero if the measured ``speedup_vs_seed`` regressed more than
+``--tolerance`` percent below the committed value (the CI perf-smoke
+gate), and fails without ``--baseline-src``; it does not overwrite the
+committed file.  ``REPRO_BENCH_N`` / ``REPRO_BENCH_APPS`` are honoured as
+defaults, like the other benchmarks.
 """
 
 from __future__ import annotations
@@ -37,9 +34,8 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.simulation import get_trace, simulate
 
@@ -53,52 +49,25 @@ DEFAULT_APPS = (
 )
 
 
-@contextmanager
-def _skip_disabled(disabled: bool) -> Iterator[None]:
-    """Force ``REPRO_NO_SKIP`` on or off for the enclosed runs."""
-    previous = os.environ.get("REPRO_NO_SKIP")
-    if disabled:
-        os.environ["REPRO_NO_SKIP"] = "1"
-    else:
-        os.environ.pop("REPRO_NO_SKIP", None)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_NO_SKIP", None)
-        else:
-            os.environ["REPRO_NO_SKIP"] = previous
-
-
 def cell_names(apps: Sequence[str]) -> List[str]:
     return [f"{app}/{model}" for app in apps for model in MODELS]
 
 
-def one_pass(
-    apps: Sequence[str], n_insts: int, no_skip: bool
-) -> Tuple[List[float], Dict[str, Dict[str, int]]]:
-    """Wall time per (app, model) cell, plus fast-forward accounting."""
+def one_pass(apps: Sequence[str], n_insts: int) -> List[float]:
+    """Wall time per (app, model) cell."""
     times: List[float] = []
-    ff: Dict[str, Dict[str, int]] = {}
-    with _skip_disabled(no_skip):
-        for app in apps:
-            trace = get_trace(app, n_insts)  # memoized: excluded from timing
-            for model in MODELS:
-                gc.collect()
-                gc.disable()
-                try:
-                    start = time.perf_counter()
-                    result = simulate(trace, model=model)
-                    times.append(time.perf_counter() - start)
-                finally:
-                    gc.enable()
-                pipeline = result.pipeline
-                if pipeline is not None and not no_skip:
-                    ff[f"{app}/{model}"] = {
-                        "ff_cycles": getattr(pipeline, "ff_cycles", 0),
-                        "cycles": result.stats.cycles,
-                    }
-    return times, ff
+    for app in apps:
+        trace = get_trace(app, n_insts)  # memoized: excluded from timing
+        for model in MODELS:
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                simulate(trace, model=model)
+                times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+    return times
 
 
 def seed_pass(
@@ -107,7 +76,6 @@ def seed_pass(
     """One pass of the same cells against an older tree, in a subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(baseline_src).resolve())
-    env.pop("REPRO_NO_SKIP", None)
     proc = subprocess.run(
         [
             sys.executable, os.path.abspath(__file__), "--worker",
@@ -147,23 +115,24 @@ def _cells_payload(
 def check_payload(
     payload: Dict[str, object], committed_path: Path, tolerance_pct: float
 ) -> List[str]:
-    """Compare measured speedups against the committed results file."""
+    """Compare the measured seed speedup against the committed results."""
     if not committed_path.is_file():
         return [f"no committed results at {committed_path}"]
     committed = json.loads(committed_path.read_text())
-    failures = []
-    for key in ("skip_speedup", "speedup_vs_seed"):
-        reference = committed.get(key)
-        measured = payload.get(key)
-        if not reference or not isinstance(measured, (int, float)):
-            continue
-        floor = reference * (1.0 - tolerance_pct / 100.0)
-        if measured < floor:
-            failures.append(
-                f"{key} regressed: measured {measured:.3f} < committed "
-                f"{reference:.3f} - {tolerance_pct}% = {floor:.3f}"
-            )
-    return failures
+    key = "speedup_vs_seed"
+    reference = committed.get(key)
+    measured = payload.get(key)
+    if not isinstance(measured, (int, float)):
+        return [f"no {key} measured: --check needs --baseline-src"]
+    if not reference:
+        return [f"no committed {key} in {committed_path}"]
+    floor = reference * (1.0 - tolerance_pct / 100.0)
+    if measured < floor:
+        return [
+            f"{key} regressed: measured {measured:.3f} < committed "
+            f"{reference:.3f} - {tolerance_pct}% = {floor:.3f}"
+        ]
+    return []
 
 
 def main() -> int:
@@ -200,29 +169,20 @@ def main() -> int:
         get_trace(app, args.n)
 
     if args.worker:
-        times, _ = one_pass(apps, args.n, no_skip=False)
-        print(json.dumps({"times": times}))
+        print(json.dumps({"times": one_pass(apps, args.n)}))
         return 0
 
     fast_min: Optional[List[float]] = None
-    slow_min: Optional[List[float]] = None
     seed_min: Optional[List[float]] = None
-    ff: Dict[str, Dict[str, int]] = {}
     for _ in range(args.repeats):
-        fast_times, ff = one_pass(apps, args.n, no_skip=False)
-        fast_min = _merge_minima(fast_min, fast_times)
-        slow_times, _ = one_pass(apps, args.n, no_skip=True)
-        slow_min = _merge_minima(slow_min, slow_times)
+        fast_min = _merge_minima(fast_min, one_pass(apps, args.n))
         if args.baseline_src:
             seed_min = _merge_minima(
                 seed_min, seed_pass(args.baseline_src, apps, args.n)
             )
-    assert fast_min is not None and slow_min is not None
+    assert fast_min is not None
 
     fast = _cells_payload(apps, fast_min)
-    no_skip = _cells_payload(apps, slow_min)
-    ff_cycles = sum(cell["ff_cycles"] for cell in ff.values())
-    total_cycles = sum(cell["cycles"] for cell in ff.values())
     payload: Dict[str, object] = {
         "benchmark": "core",
         "apps": list(apps),
@@ -230,12 +190,6 @@ def main() -> int:
         "n_insts": args.n,
         "repeats": args.repeats,
         "fast": fast,
-        "no_skip": no_skip,
-        "skip_speedup": round(no_skip["wall_s"] / fast["wall_s"], 3),
-        "ff_cycles_skipped": ff_cycles,
-        "total_cycles": total_cycles,
-        "ff_skip_fraction": round(ff_cycles / total_cycles, 3)
-        if total_cycles else 0.0,
     }
     if seed_min is not None:
         seed = _cells_payload(apps, seed_min)

@@ -196,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="core-speed benchmark (results/BENCH_core.json; source tree only)",
+        help="core speed vs an older tree (results/BENCH_core.json; source tree only)",
     )
     bench.add_argument("--n", type=int, default=None, help="instructions per run")
     bench.add_argument("--apps", default=None, help="comma-separated subset")
@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--check", action="store_true",
                        help="gate against committed results, do not overwrite")
     bench.add_argument("--tolerance", type=float, default=None, metavar="PCT",
-                       help="allowed regression below committed speedups")
+                       help="allowed regression below the committed speedup vs seed")
 
     camp = sub.add_parser(
         "campaign",

@@ -27,7 +27,6 @@ machines; the hooks are the methods prefixed ``_hook_``.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Deque, List, Optional, Sequence, Set, Tuple
 
@@ -71,6 +70,9 @@ class OOOPipeline:
 
     name = "SIE"
 
+    #: Read by e2ebench's ``core.ff_frac``; always 0 (no cycle is skipped).
+    ff_cycles = 0
+
     def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
         if len(trace) == 0:
             raise ValueError("cannot simulate an empty trace")
@@ -94,16 +96,6 @@ class OOOPipeline:
         self._icache_hit_latency = self.hier.l1i.config.hit_latency
         self._decoded: DecodedTrace = decode_trace(trace, self._line_bytes)
         self._perfect_predictor = bool(getattr(self.predictor, "perfect", False))
-
-        # Quiescent-cycle fast-forward (docs/PERFORMANCE.md).  Statistics
-        # are byte-identical either way (the golden-stats gate in
-        # tests/test_fast_forward.py); REPRO_NO_SKIP=1 is the escape hatch
-        # that forces the cycle-by-cycle path for equivalence checks.
-        self.fast_forward = not os.environ.get("REPRO_NO_SKIP")
-        #: Diagnostics (plain attributes, deliberately NOT SimStats fields:
-        #: stats must not differ with skipping on vs off).
-        self.ff_spans = 0
-        self.ff_cycles = 0
 
         # Front end.
         self.fetch_index = 0
@@ -300,15 +292,7 @@ class OOOPipeline:
         """Simulate until the whole trace commits; returns statistics."""
         limit = max_cycles if max_cycles is not None else 1000 + 120 * len(self.trace)
         total = len(self.trace)
-        fast = self.fast_forward
         while self.committed_arch < total:
-            # Cheapest quiescence precondition inlined: on busy cycles the
-            # ready list is almost never empty, so most iterations skip the
-            # _fast_forward call entirely.
-            if fast and not (self._ready or self._fu_blocked or self.mem_queue):
-                self._fast_forward(limit)
-                if self.cycle > limit:
-                    raise DeadlockError(self._deadlock_message(total))
             self._step()
             if self.cycle > limit:
                 raise DeadlockError(self._deadlock_message(total))
@@ -327,8 +311,8 @@ class OOOPipeline:
         cycle = self.cycle
         if self.fault_injector is not None:
             self.fault_injector.on_tick(self)
-        # Stage guards: each skipped call is provably a no-op this cycle
-        # (the same conditions _fast_forward relies on, applied per stage).
+        # Stage guards: a guarded stage whose guard fails would provably
+        # do nothing this cycle, so its call is left out.
         events = self._events
         if events and events[0][0] <= cycle:
             self._process_events(cycle)
@@ -347,139 +331,6 @@ class OOOPipeline:
         if tracer is not NULL_TRACER:
             tracer.emit(CycleEvent(cycle, len(self.ruu), self.lsq_count))
         self.cycle = cycle + 1
-
-    # ==================================================================
-    # Quiescent-cycle fast-forward
-    # ==================================================================
-
-    def _fast_forward(self, limit: int) -> None:
-        """Jump ``self.cycle`` over cycles where nothing can make progress.
-
-        A cycle is quiescent when every stage of :meth:`_step` is provably
-        a no-op — or a replicable constant: nothing is ready or blocked on
-        an FU, the memory queue is empty, no event is due, the RUU head is
-        not committable, the decode-queue head is either not yet
-        dispatchable or blocked on a full RUU/LSQ, fetch cannot proceed
-        (:meth:`_fetch_quiescent`), per-cycle housekeeping has no pending
-        work (:meth:`_tick_quiescent`) and no fault-injection strike is
-        armed.  All of that state is event-driven, so it stays unchanged
-        until the earliest of: the event-heap head, the decode-queue head's
-        ready cycle, ``fetch_resume_cycle``, the injector's next armed
-        cycle — or the deadlock limit.
-
-        The jump replicates exactly what the skipped steps would have done:
-        per-cycle fetch- and dispatch-stall counters, the per-attempt
-        dispatch side effects of a blocked head (via
-        :meth:`_hook_dispatch_blocked`, replayed per skipped cycle in
-        models that define one) and (when a tracer is attached) one
-        ``CycleEvent`` per skipped cycle with the span's constant RUU/LSQ
-        occupancy.  Statistics are byte-identical with skipping on or off —
-        the golden-stats gate in tests/test_fast_forward.py enforces it.
-        """
-        if self._ready or self._fu_blocked or self.mem_queue:
-            return
-        cycle = self.cycle
-        events = self._events
-        if events and events[0][0] <= cycle:
-            return
-        ruu = self.ruu
-        if ruu and ruu[0].complete:
-            # The head may be committable (or trigger a checker recovery);
-            # conservatively step.  Incomplete head == commit is a no-op
-            # in every model (base, DIE pairs, SRT output buffer).
-            return
-        decode_q = self.decode_q
-        blocked_stat: Optional[str] = None
-        if decode_q and decode_q[0][0] <= cycle:
-            # The head is dispatchable: quiescent only when dispatch is
-            # provably blocked this cycle — and therefore every cycle until
-            # an event retires something (RUU) or drains the LSQ.  _dispatch
-            # would count one stall and fire _hook_dispatch_blocked per
-            # cycle; both are replicated below.
-            config = self.config
-            if len(ruu) + self.DISPATCH_ENTRIES > config.ruu_size:
-                blocked_stat = "dispatch_stall_ruu"
-            elif (
-                OP_META[decode_q[0][1].opcode].mem
-                and self.lsq_count >= config.lsq_size
-            ):
-                blocked_stat = "dispatch_stall_lsq"
-            else:
-                return
-        stall = self._fetch_quiescent(cycle)
-        if stall is None or not self._tick_quiescent():
-            return
-        injector = self.fault_injector
-        next_armed: Optional[int] = None
-        if injector is not None:
-            next_armed = injector.next_armed_cycle()
-            if next_armed is not None and next_armed <= cycle:
-                return
-        target = limit + 1
-        if events and events[0][0] < target:
-            target = events[0][0]
-        if blocked_stat is None and decode_q and decode_q[0][0] < target:
-            target = decode_q[0][0]
-        resume = self.fetch_resume_cycle
-        if cycle < resume < target:
-            target = resume
-        if next_armed is not None and next_armed < target:
-            target = next_armed
-        if target <= cycle:
-            return
-        span = target - cycle
-        stats = self.stats
-        if stall:
-            # What each skipped _fetch call would have counted.
-            stats.fetch_stall_mispredict += stall * span
-        if blocked_stat is not None:
-            setattr(stats, blocked_stat, getattr(stats, blocked_stat) + span)
-        tracer = self.tracer
-        tracing = tracer is not NULL_TRACER
-        # A blocked dispatch head fires _hook_dispatch_blocked once per
-        # cycle; models whose hook has side effects (IRB probe accounting,
-        # VP training) get it replayed per skipped cycle — still far
-        # cheaper than stepping, and byte-identical.
-        replay = (
-            blocked_stat is not None
-            and type(self)._hook_dispatch_blocked
-            is not OOOPipeline._hook_dispatch_blocked
-        )
-        if tracing or replay:
-            # Occupancy is constant across a quiescent span: synthesize the
-            # per-cycle samples MetricsCollector timelines expect, in the
-            # same within-cycle order as stepping (dispatch before the
-            # cycle's CycleEvent).
-            ruu_len = len(ruu)
-            lsq = self.lsq_count
-            if replay:
-                _, head_inst, head_mispred = decode_q[0]
-            for when in range(cycle, target):
-                if replay:
-                    self.cycle = when
-                    self._hook_dispatch_blocked(head_inst, head_mispred)
-                if tracing:
-                    tracer.emit(CycleEvent(when, ruu_len, lsq))
-        self.ff_spans += 1
-        self.ff_cycles += span
-        self.cycle = target
-
-    def _fetch_quiescent(self, cycle: int) -> Optional[int]:
-        """``None`` if :meth:`_fetch` could do work this cycle; otherwise
-        the per-cycle ``fetch_stall_mispredict`` increment to replicate."""
-        if self.fetch_blocked_seq is not None:
-            return 1
-        if cycle < self.fetch_resume_cycle:
-            return 0
-        if len(self.decode_q) >= self._decode_cap:
-            return 0
-        if self.fetch_index >= len(self.trace):
-            return 0
-        return None
-
-    def _tick_quiescent(self) -> bool:
-        """True when :meth:`_hook_tick` is a no-op this cycle."""
-        return True
 
     # ==================================================================
     # Completion / writeback

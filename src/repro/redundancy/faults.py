@@ -26,7 +26,7 @@ hardware, like a real transient).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..core import DUPLICATE, PRIMARY, DynInst, OOOPipeline
 from ..telemetry.events import (
@@ -161,18 +161,6 @@ class FaultInjector:
                 )
             self._consumed.add(index)
         self._irb_pending = still_pending
-
-    def next_armed_cycle(self) -> Optional[int]:
-        """Earliest cycle at which a pending IRB-cell strike fires.
-
-        Quiescent-cycle fast-forward must not jump past this cycle:
-        ``on_tick`` only perturbs state when the pipeline actually reaches
-        it.  Sequence-targeted faults need no horizon — they fire from
-        ``on_complete``, which is event-driven and therefore skip-safe.
-        """
-        if not self._irb_pending:
-            return None
-        return min(self.faults[index].cycle for index in self._irb_pending)
 
     # -- internals ------------------------------------------------------
 

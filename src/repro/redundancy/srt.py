@@ -110,26 +110,6 @@ class SRTPipeline(OOOPipeline):
         # branch outcomes and load values are waiting when it arrives.
         return self.trail_index < self._trail_limit()
 
-    def _fetch_quiescent(self, cycle: int) -> Optional[int]:
-        # Mirror of _fetch/_can_fetch_* without side effects: returns the
-        # per-cycle fetch_stall_mispredict increment when neither context
-        # can fetch, None when one can.  Every quantity consulted here is
-        # static while the back end is idle (trail_committed only moves at
-        # commit, the cursors only move when a fetch happens).
-        if len(self.decode_q) >= self._decode_cap:
-            return 0
-        if self._can_fetch_trailing() and self.trail_index < len(self.trace):
-            return None
-        if self.fetch_blocked_seq is not None:
-            return 1  # _can_fetch_leading counts this stall each cycle
-        if cycle < self.fetch_resume_cycle:
-            return 0
-        if self.fetch_index >= len(self.trace):
-            return 0
-        if self.fetch_index - self.trail_committed >= self.slack * 4:
-            return 0
-        return None
-
     def _fetch_leading(self, cycle: int) -> None:
         insts = self.trace.insts
         total = len(insts)

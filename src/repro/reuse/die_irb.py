@@ -215,11 +215,6 @@ class DIEIRBPipeline(DIEPipeline):
     def _hook_tick(self) -> None:
         self.irb.drain(self.ports, self.cycle)
 
-    def _tick_quiescent(self) -> bool:
-        # Fast-forward must not jump over cycles where the write queue is
-        # still draining into the IRB through the port arbiter.
-        return not self.irb.pending_writes
-
     # ------------------------------------------------------------------
 
     def _on_mismatch(self, primary: DynInst) -> None:

@@ -130,11 +130,6 @@ class IRB:
             self.stats.write_drops += 1
         self._write_q.append((pc, op1, op2, result))
 
-    @property
-    def pending_writes(self) -> int:
-        """Installs still queued behind the write ports (drained per tick)."""
-        return len(self._write_q)
-
     def drain(self, ports: PortArbiter, cycle: int) -> int:
         """Perform queued installs through available write ports."""
         done = 0

@@ -146,11 +146,6 @@ class SIEIRBPipeline(OOOPipeline):
     def _hook_tick(self) -> None:
         self.irb.drain(self.ports, self.cycle)
 
-    def _tick_quiescent(self) -> bool:
-        # Fast-forward must not jump over cycles where the write queue is
-        # still draining into the IRB through the port arbiter.
-        return not self.irb.pending_writes
-
     def run(self, max_cycles: Optional[int] = None) -> SimStats:
         stats = super().run(max_cycles)
         stats.irb_writes = self.irb.stats.writes

@@ -1,16 +1,11 @@
 """Differential run harness: one trace through every timing model.
 
 The harness owns pipeline construction (mirroring
-:func:`repro.simulation.simulate`) so it can do two things the public
-runner deliberately does not expose:
-
-* attach a :class:`CommitAuditor` tracer that records per-``(seq,
-  stream)`` fetch/commit counts and the primary-stream commit order, the
-  raw material for the commit-exactly-once and oracle-match invariants;
-* force ``fast_forward`` off on an already-constructed pipeline (the
-  determinism invariant re-runs a model with quiescent-cycle skipping
-  disabled *without* mutating the ``REPRO_NO_SKIP`` environment, which
-  is only read at construction time).
+:func:`repro.simulation.simulate`) so it can attach a
+:class:`CommitAuditor` tracer, which the public runner deliberately does
+not expose: it records per-``(seq, stream)`` fetch/commit counts and the
+primary-stream commit order, the raw material for the
+commit-exactly-once and oracle-match invariants.
 
 Everything here is read-only with respect to the models: the harness
 never reaches into pipeline state, it only observes stats and events.
@@ -104,7 +99,6 @@ def run_model(
     config: Optional[MachineConfig] = None,
     irb_config: Optional[IRBConfig] = None,
     audit: bool = True,
-    no_skip: bool = False,
     tracer: Optional[Tracer] = None,
     fault_injector: Optional[FaultInjector] = None,
 ) -> ModelRun:
@@ -114,8 +108,6 @@ def run_model(
         pipeline = cls(trace, config, irb_config)  # type: ignore[call-arg]
     else:
         pipeline = cls(trace, config)
-    if no_skip:
-        pipeline.fast_forward = False
     auditor = CommitAuditor() if audit else None
     sinks = [sink for sink in (auditor, tracer) if sink is not None]
     if len(sinks) == 1:

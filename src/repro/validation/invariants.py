@@ -33,10 +33,9 @@ The catalogue (documented in ``docs/VALIDATION.md``):
     *exactly* (checked by the engine on the per-case rotating model —
     see :func:`check_sampled_tolerance`).
 ``determinism``
-    Re-running a model with quiescent-cycle fast-forward disabled and a
-    metrics tracer attached reproduces byte-identical statistics
-    (checked by the engine on a per-case rotating model — see
-    :func:`check_determinism`).
+    Re-running a model bare (no auditor, no tracer) and with a metrics
+    tracer attached reproduces byte-identical statistics (checked by the
+    engine on a per-case rotating model — see :func:`check_determinism`).
 
 Benign, understood violations are registered as :class:`Exemption`
 entries and filtered out of ``check_case``'s return value; every entry
@@ -401,9 +400,12 @@ def check_determinism(
     model: str,
     injector_factory: Optional[Callable[[], Optional["FaultInjector"]]] = None,
 ) -> List[Divergence]:
-    """Re-run ``model`` under observation and with fast-forward off.
+    """Re-run ``model`` bare and under observation.
 
-    Both re-runs must reproduce byte-identical statistics; the engine
+    Both re-runs must reproduce the audited baseline's statistics byte for
+    byte: the bare re-run (no auditor, no tracer) checks run-to-run
+    determinism and that the :class:`CommitAuditor` does not perturb the
+    model, the traced one that a tracer does not either.  The engine
     rotates ``model`` per case so the whole registry is covered across a
     campaign without paying 2x9 extra runs per case.  When the baseline
     run carried a (synthetic) fault plan, ``injector_factory`` supplies a
@@ -423,9 +425,9 @@ def check_determinism(
 
     reruns = (
         (
-            "no-skip",
+            "bare",
             run_model(
-                case.trace, model, audit=False, no_skip=True,
+                case.trace, model, audit=False,
                 fault_injector=fresh_injector(),
             ),
         ),

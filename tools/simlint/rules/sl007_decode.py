@@ -7,7 +7,7 @@ import time for :data:`OP_META` and once per trace for
 slot attributes (``inst.dec.timing``).  A stray ``op_timing()`` /
 ``op_latency()`` call inside a stage method silently reverts that work:
 the dictionary probe runs again for every dynamic instruction on every
-cycle it is considered, and the fast-forward speedup quietly erodes.
+cycle it is considered, and the decoded-trace speedup quietly erodes.
 
 The rule flags any call to ``op_timing`` / ``op_latency`` inside a
 function body in the timing-model packages (``core``, ``reuse``,
