@@ -7,5 +7,5 @@ def test_a7_srt_comparison(run_experiment):
     result = run_experiment("A7", apps=bench_apps(6), n_insts=bench_n(16_000))
     # Both redundancy styles must show real losses; DIE-IRB must improve
     # on plain DIE.
-    assert result.mean_loss("die") > 3
-    assert result.mean_loss("die-irb") < result.mean_loss("die")
+    assert result.mean("DIE") > 3
+    assert result.mean("DIE-IRB") < result.mean("DIE")

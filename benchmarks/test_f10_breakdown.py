@@ -5,6 +5,7 @@ from conftest import bench_apps, bench_n
 
 def test_f10_duplicate_breakdown(run_experiment):
     result = run_experiment("F10", apps=bench_apps(), n_insts=bench_n())
-    for row in result.entries:
+    die, irb = result.column("ALU util DIE"), result.column("ALU util DIE-IRB")
+    for app in die:
         # The IRB must shed ALU work, not add it.
-        assert row.die_irb_alu_util <= row.die_alu_util + 0.02
+        assert irb[app] <= die[app] + 0.02

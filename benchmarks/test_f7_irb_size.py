@@ -7,6 +7,6 @@ def test_f7_irb_size_sweep(run_experiment):
     result = run_experiment(
         "F7", apps=bench_apps(6), n_insts=bench_n(16_000)
     )
-    sizes = result.sizes
+    reuse = list(result.column("mean reuse").values())
     # Bigger IRBs never reuse less (modulo small-sample noise).
-    assert result.mean_reuse(sizes[-1]) >= result.mean_reuse(sizes[0]) - 0.01
+    assert reuse[-1] >= reuse[0] - 0.01

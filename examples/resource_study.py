@@ -30,16 +30,13 @@ def main() -> None:
     print(result.render())
 
     print("\nReading the rows:")
+    losses = {key: result.column(key) for key in result.headers[1:]}
     for app in apps:
-        losses = result.losses[app]
-        best = min(
-            ("2xALU", "2xRUU", "2xWidths"),
-            key=lambda k: losses[f"DIE-{k}"],
-        )
+        best = min(("2xALU", "2xRUU", "2xWidths"), key=lambda k: losses[k][app])
         print(
-            f"  {app:8s} loses {losses['DIE']:5.1f}% under DIE; "
+            f"  {app:8s} loses {losses['DIE'][app]:5.1f}% under DIE; "
             f"doubling the {best} recovers it best "
-            f"({losses[f'DIE-{best}']:5.1f}% remaining)"
+            f"({losses[best][app]:5.1f}% remaining)"
         )
 
 

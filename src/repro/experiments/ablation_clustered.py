@@ -8,11 +8,9 @@ both cluster variants against DIE-IRB so the argument has numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table, plain
 
 _MODELS = ("die", "die-cluster-split", "die-cluster-repl", "die-irb")
 _LABELS = {
@@ -23,49 +21,28 @@ _LABELS = {
 }
 
 
-@dataclass
-class ClusteredResult:
-    apps: List[str]
-    loss: Dict[str, Dict[str, float]]  # model -> app -> loss %
-
-    def mean_loss(self, model: str) -> float:
-        return mean(list(self.loss[model].values()))
-
-    def rows(self):
-        out = [
-            [app] + [self.loss[m][app] for m in _MODELS] for app in self.apps
-        ]
-        out.append(["average"] + [self.mean_loss(m) for m in _MODELS])
-        return out
-
-    def render(self) -> str:
-        table = format_table(
-            ["app"] + [_LABELS[m] for m in _MODELS],
-            self.rows(),
-            precision=1,
-            title="A4: clustered DIE alternatives vs DIE-IRB (% IPC loss vs SIE)",
-        )
-        note = (
-            "\nCluster/2 splits the baseline FUs+issue between the streams; "
-            "Cluster x2 replicates the full\ncomplement per stream (spatial-"
-            "redundancy-like).  DIE-IRB spends neither the issue logic\n"
-            "nor the transistors."
-        )
-        return table + note
+COLUMNS = [(_LABELS[m], lambda run, m=m: run.loss(m)) for m in _MODELS]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> ClusteredResult:
+) -> Table:
     """Compare base DIE, both cluster variants, and DIE-IRB."""
-    loss: Dict[str, Dict[str, float]] = {m: {} for m in _MODELS}
-    models = [("sie", "sie", None, None)]
-    models += [(m, m, None, None) for m in _MODELS]
-    all_runs = run_apps(apps, models, n_insts=n_insts, seed=seed)
-    for app in apps:
-        runs = all_runs[app]
-        for m in _MODELS:
-            loss[m][app] = runs.loss(m)
-    return ClusteredResult(apps=list(apps), loss=loss)
+    return build_table(
+        "A4: clustered DIE alternatives vs DIE-IRB (% IPC loss vs SIE)",
+        [SIE] + [plain(m) for m in _MODELS],
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        precision=1,
+        average=True,
+        note=(
+            "\nCluster/2 splits the baseline FUs+issue between the streams; "
+            "Cluster x2 replicates the full\ncomplement per stream (spatial-"
+            "redundancy-like).  DIE-IRB spends neither the issue logic\n"
+            "nor the transistors."
+        ),
+    )

@@ -9,71 +9,37 @@ completions propagate — and reports the IPC difference the paper forgoes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table, plain
 
 
-@dataclass
-class ForwardingResult:
-    apps: List[str]
-    loss_plain: Dict[str, float]  # DIE-IRB (no forwarding)
-    loss_fwd: Dict[str, float]  # DIE-IRB-Fwd
-    forgone: Dict[str, float]  # loss_plain - loss_fwd (points of IPC loss)
-
-    def rows(self):
-        out = [
-            (app, self.loss_plain[app], self.loss_fwd[app], self.forgone[app])
-            for app in self.apps
-        ]
-        out.append(
-            (
-                "average",
-                mean(list(self.loss_plain.values())),
-                mean(list(self.loss_fwd.values())),
-                mean(list(self.forgone.values())),
-            )
-        )
-        return out
-
-    def render(self) -> str:
-        table = format_table(
-            ["app", "loss% (no fwd)", "loss% (fwd)", "forgone (pts)"],
-            self.rows(),
-            precision=1,
-            title="A5: IRB forwarding ablation (Section 3.3 design point)",
-        )
-        return table + (
-            "\nThe 'forgone' column is the IPC-loss reduction the paper "
-            "trades away to avoid extra\nresult buses and wakeup "
-            "comparators in every issue-window slot."
-        )
+COLUMNS = [
+    ("loss% (no fwd)", lambda run: run.loss("die-irb")),
+    ("loss% (fwd)", lambda run: run.loss("die-irb-fwd")),
+    # Points of IPC loss forwarding would have saved.
+    ("forgone (pts)", lambda run: run.loss("die-irb") - run.loss("die-irb-fwd")),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> ForwardingResult:
+) -> Table:
     """Compare DIE-IRB with and without IRB result forwarding."""
-    loss_plain, loss_fwd, forgone = {}, {}, {}
-    all_runs = run_apps(
+    return build_table(
+        "A5: IRB forwarding ablation (Section 3.3 design point)",
+        [SIE, plain("die-irb"), plain("die-irb-fwd")],
+        COLUMNS,
         apps,
-        [
-            ("sie", "sie", None, None),
-            ("plain", "die-irb", None, None),
-            ("fwd", "die-irb-fwd", None, None),
-        ],
-        n_insts=n_insts,
-        seed=seed,
-    )
-    for app in apps:
-        runs = all_runs[app]
-        loss_plain[app] = runs.loss("plain")
-        loss_fwd[app] = runs.loss("fwd")
-        forgone[app] = loss_plain[app] - loss_fwd[app]
-    return ForwardingResult(
-        apps=list(apps), loss_plain=loss_plain, loss_fwd=loss_fwd, forgone=forgone
+        n_insts,
+        seed,
+        precision=1,
+        average=True,
+        note=(
+            "\nThe 'forgone' column is the IPC-loss reduction the paper "
+            "trades away to avoid extra\nresult buses and wakeup "
+            "comparators in every issue-window slot."
+        ),
     )

@@ -9,35 +9,15 @@ latency) it is free; beyond that, reuse decisions wait.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from ..reuse import IRBConfig
-from ..simulation import format_series
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table
 
 DEFAULT_LATENCIES = (1, 3, 5, 8, 12)
 
 
-@dataclass
-class LatencySweepResult:
-    apps: List[str]
-    latencies: List[int]
-    loss: Dict[int, Dict[str, float]]
-
-    def mean_loss(self, latency: int) -> float:
-        return mean(list(self.loss[latency].values()))
-
-    def rows(self):
-        return [(lat, self.mean_loss(lat)) for lat in self.latencies]
-
-    def render(self) -> str:
-        return format_series(
-            "lookup cycles",
-            self.latencies,
-            [("mean loss %", [self.mean_loss(v) for v in self.latencies])],
-            title="A3: IRB lookup-latency sensitivity",
-        )
+COLUMNS = [("mean loss %", lambda run, latency: run.loss(latency))]
 
 
 def run(
@@ -45,19 +25,17 @@ def run(
     n_insts: int = DEFAULT_N,
     seed: int = 1,
     latencies: Sequence[int] = DEFAULT_LATENCIES,
-) -> LatencySweepResult:
+) -> Table:
     """Sweep the pipelined IRB access depth."""
-    loss: Dict[int, Dict[str, float]] = {lat: {} for lat in latencies}
-    models = [("sie", "sie", None, None)]
-    models += [
-        (f"lat{v}", "die-irb", None, IRBConfig(lookup_latency=v))
-        for v in latencies
+    models = [SIE] + [
+        (v, "die-irb", None, IRBConfig(lookup_latency=v)) for v in latencies
     ]
-    all_runs = run_apps(apps, models, n_insts=n_insts, seed=seed)
-    for app in apps:
-        runs = all_runs[app]
-        for v in latencies:
-            loss[v][app] = runs.loss(f"lat{v}")
-    return LatencySweepResult(
-        apps=list(apps), latencies=list(latencies), loss=loss
+    return build_table(
+        "A3: IRB lookup-latency sensitivity",
+        models,
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        sweep=("lookup cycles", latencies),
     )

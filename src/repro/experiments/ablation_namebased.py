@@ -7,80 +7,36 @@ of operand values) is easier to build on a non-data-capture scheduler but
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from ..reuse import IRBConfig
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table
 
 
-@dataclass
-class NameBasedResult:
-    apps: List[str]
-    value_reuse: Dict[str, float]
-    name_reuse: Dict[str, float]
-    value_loss: Dict[str, float]
-    name_loss: Dict[str, float]
-
-    def rows(self):
-        out = [
-            (
-                app,
-                self.value_reuse[app],
-                self.name_reuse[app],
-                self.value_loss[app],
-                self.name_loss[app],
-            )
-            for app in self.apps
-        ]
-        out.append(
-            (
-                "average",
-                mean(list(self.value_reuse.values())),
-                mean(list(self.name_reuse.values())),
-                mean(list(self.value_loss.values())),
-                mean(list(self.name_loss.values())),
-            )
-        )
-        return out
-
-    def render(self) -> str:
-        return format_table(
-            ["app", "reuse (value)", "reuse (name)", "loss% (value)", "loss% (name)"],
-            self.rows(),
-            title="A1: value-based vs name-based reuse test",
-        )
+COLUMNS = [
+    ("reuse (value)", lambda run: run.stats("value").irb_reuse_rate),
+    ("reuse (name)", lambda run: run.stats("name").irb_reuse_rate),
+    ("loss% (value)", lambda run: run.loss("value")),
+    ("loss% (name)", lambda run: run.loss("name")),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> NameBasedResult:
+) -> Table:
     """Compare the two reuse-test schemes on the same workloads."""
-    value_reuse, name_reuse = {}, {}
-    value_loss, name_loss = {}, {}
-    all_runs = run_apps(
-        apps,
+    return build_table(
+        "A1: value-based vs name-based reuse test",
         [
-            ("sie", "sie", None, None),
+            SIE,
             ("value", "die-irb", None, IRBConfig(name_based=False)),
             ("name", "die-irb", None, IRBConfig(name_based=True)),
         ],
-        n_insts=n_insts,
-        seed=seed,
-    )
-    for app in apps:
-        runs = all_runs[app]
-        value_reuse[app] = runs.results["value"].stats.irb_reuse_rate
-        name_reuse[app] = runs.results["name"].stats.irb_reuse_rate
-        value_loss[app] = runs.loss("value")
-        name_loss[app] = runs.loss("name")
-    return NameBasedResult(
-        apps=list(apps),
-        value_reuse=value_reuse,
-        name_reuse=name_reuse,
-        value_loss=value_loss,
-        name_loss=name_loss,
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        average=True,
     )

@@ -9,80 +9,32 @@ an identical IRB delivers in each setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table, plain
 
 
-@dataclass
-class SieIrbResult:
-    apps: List[str]
-    sie_speedup: Dict[str, float]  # SIE-IRB over SIE
-    die_speedup: Dict[str, float]  # DIE-IRB over DIE
-    sie_reuse: Dict[str, float]
-    die_reuse: Dict[str, float]
-
-    def rows(self):
-        out = [
-            (
-                app,
-                self.sie_speedup[app],
-                self.die_speedup[app],
-                self.sie_reuse[app],
-                self.die_reuse[app],
-            )
-            for app in self.apps
-        ]
-        out.append(
-            (
-                "average",
-                mean(list(self.sie_speedup.values())),
-                mean(list(self.die_speedup.values())),
-                mean(list(self.sie_reuse.values())),
-                mean(list(self.die_reuse.values())),
-            )
-        )
-        return out
-
-    def render(self) -> str:
-        return format_table(
-            ["app", "SIE-IRB speedup", "DIE-IRB speedup", "reuse (SIE)", "reuse (DIE)"],
-            self.rows(),
-            precision=3,
-            title="A2: the same IRB on SIE vs on DIE",
-        )
+COLUMNS = [
+    ("SIE-IRB speedup", lambda run: run.ipc("sie-irb") / run.ipc("sie")),
+    ("DIE-IRB speedup", lambda run: run.ipc("die-irb") / run.ipc("die")),
+    ("reuse (SIE)", lambda run: run.stats("sie-irb").irb_reuse_rate),
+    ("reuse (DIE)", lambda run: run.stats("die-irb").irb_reuse_rate),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> SieIrbResult:
+) -> Table:
     """Measure IRB speedup on SIE and on DIE for every application."""
-    sie_speedup, die_speedup, sie_reuse, die_reuse = {}, {}, {}, {}
-    all_runs = run_apps(
+    return build_table(
+        "A2: the same IRB on SIE vs on DIE",
+        [SIE, plain("sie-irb"), plain("die"), plain("die-irb")],
+        COLUMNS,
         apps,
-        [
-            ("sie", "sie", None, None),
-            ("sie-irb", "sie-irb", None, None),
-            ("die", "die", None, None),
-            ("die-irb", "die-irb", None, None),
-        ],
-        n_insts=n_insts,
-        seed=seed,
-    )
-    for app in apps:
-        runs = all_runs[app]
-        sie_speedup[app] = runs.ipc("sie-irb") / runs.ipc("sie")
-        die_speedup[app] = runs.ipc("die-irb") / runs.ipc("die")
-        sie_reuse[app] = runs.results["sie-irb"].stats.irb_reuse_rate
-        die_reuse[app] = runs.results["die-irb"].stats.irb_reuse_rate
-    return SieIrbResult(
-        apps=list(apps),
-        sie_speedup=sie_speedup,
-        die_speedup=die_speedup,
-        sie_reuse=sie_reuse,
-        die_reuse=die_reuse,
+        n_insts,
+        seed,
+        precision=3,
+        average=True,
     )

@@ -12,57 +12,37 @@ each recovers part of it, and where DIE-IRB lands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table, plain
 
 _MODELS = ("die", "srt", "die-irb")
 _LABELS = {"die": "DIE", "srt": "SRT", "die-irb": "DIE-IRB"}
 
 
-@dataclass
-class SRTResult:
-    apps: List[str]
-    loss: Dict[str, Dict[str, float]]
-
-    def mean_loss(self, model: str) -> float:
-        return mean(list(self.loss[model].values()))
-
-    def rows(self):
-        out = [[app] + [self.loss[m][app] for m in _MODELS] for app in self.apps]
-        out.append(["average"] + [self.mean_loss(m) for m in _MODELS])
-        return out
-
-    def render(self) -> str:
-        table = format_table(
-            ["app"] + [_LABELS[m] for m in _MODELS],
-            self.rows(),
-            precision=1,
-            title="A7: instruction-level (DIE) vs thread-level (SRT) redundancy "
-            "(% IPC loss vs SIE)",
-        )
-        return table + (
-            "\nSRT's trailing context never mispredicts and never accesses "
-            "the cache, but fetches\nevery instruction again; DIE fetches "
-            "once and duplicates at decode.  The IRB attacks\nthe shared "
-            "bottleneck both still pay: ALU bandwidth."
-        )
+COLUMNS = [(_LABELS[m], lambda run, m=m: run.loss(m)) for m in _MODELS]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> SRTResult:
+) -> Table:
     """Compare DIE, SRT and DIE-IRB IPC losses on every application."""
-    loss: Dict[str, Dict[str, float]] = {m: {} for m in _MODELS}
-    models = [("sie", "sie", None, None)]
-    models += [(m, m, None, None) for m in _MODELS]
-    all_runs = run_apps(apps, models, n_insts=n_insts, seed=seed)
-    for app in apps:
-        runs = all_runs[app]
-        for m in _MODELS:
-            loss[m][app] = runs.loss(m)
-    return SRTResult(apps=list(apps), loss=loss)
+    return build_table(
+        "A7: instruction-level (DIE) vs thread-level (SRT) redundancy "
+        "(% IPC loss vs SIE)",
+        [SIE] + [plain(m) for m in _MODELS],
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        precision=1,
+        average=True,
+        note=(
+            "\nSRT's trailing context never mispredicts and never accesses "
+            "the cache, but fetches\nevery instruction again; DIE fetches "
+            "once and duplicates at decode.  The IRB attacks\nthe shared "
+            "bottleneck both still pay: ALU bandwidth."
+        ),
+    )

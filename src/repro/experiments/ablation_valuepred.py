@@ -11,84 +11,38 @@ confidence/stride machinery the paper's complexity argument resists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table, plain
 
 
-@dataclass
-class ValuePredResult:
-    apps: List[str]
-    loss_irb: Dict[str, float]
-    loss_vp: Dict[str, float]
-    irb_service: Dict[str, float]  # fraction of dups served without ALU
-    vp_service: Dict[str, float]
-
-    def rows(self):
-        out = [
-            (
-                app,
-                self.loss_irb[app],
-                self.loss_vp[app],
-                self.irb_service[app],
-                self.vp_service[app],
-            )
-            for app in self.apps
-        ]
-        out.append(
-            (
-                "average",
-                mean(list(self.loss_irb.values())),
-                mean(list(self.loss_vp.values())),
-                mean(list(self.irb_service.values())),
-                mean(list(self.vp_service.values())),
-            )
-        )
-        return out
-
-    def render(self) -> str:
-        table = format_table(
-            ["app", "loss% IRB", "loss% VP", "dup served (IRB)", "dup served (VP)"],
-            self.rows(),
-            title="A6: reuse buffer vs value prediction for the duplicate stream",
-        )
-        return table + (
-            "\n'dup served' = duplicates completed without an ALU.  VP also "
-            "predicts fresh (stride)\nvalues the IRB cannot reuse, at the "
-            "cost of the confidence/stride hardware and\nverification that "
-            "waits for the primary."
-        )
+COLUMNS = [
+    ("loss% IRB", lambda run: run.loss("die-irb")),
+    ("loss% VP", lambda run: run.loss("die-vp")),
+    # Fraction of duplicates completed without an ALU.
+    ("dup served (IRB)", lambda run: run.stats("die-irb").irb_reuse_hits / run.n_insts),
+    ("dup served (VP)", lambda run: run.stats("die-vp").irb_reuse_hits / run.n_insts),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> ValuePredResult:
+) -> Table:
     """Compare DIE-IRB and DIE-VP on every application."""
-    loss_irb, loss_vp, irb_service, vp_service = {}, {}, {}, {}
-    all_runs = run_apps(
+    return build_table(
+        "A6: reuse buffer vs value prediction for the duplicate stream",
+        [SIE, plain("die-irb"), plain("die-vp")],
+        COLUMNS,
         apps,
-        [
-            ("sie", "sie", None, None),
-            ("irb", "die-irb", None, None),
-            ("vp", "die-vp", None, None),
-        ],
-        n_insts=n_insts,
-        seed=seed,
-    )
-    for app in apps:
-        runs = all_runs[app]
-        loss_irb[app] = runs.loss("irb")
-        loss_vp[app] = runs.loss("vp")
-        irb_service[app] = runs.results["irb"].stats.irb_reuse_hits / n_insts
-        vp_service[app] = runs.results["vp"].stats.irb_reuse_hits / n_insts
-    return ValuePredResult(
-        apps=list(apps),
-        loss_irb=loss_irb,
-        loss_vp=loss_vp,
-        irb_service=irb_service,
-        vp_service=vp_service,
+        n_insts,
+        seed,
+        average=True,
+        note=(
+            "\n'dup served' = duplicates completed without an ALU.  VP also "
+            "predicts fresh (stride)\nvalues the IRB cannot reuse, at the "
+            "cost of the confidence/stride hardware and\nverification that "
+            "waits for the primary."
+        ),
     )

@@ -9,25 +9,12 @@ average remaining loss, vs 16% for 2xRUU and 21% for 2xWidths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..core import MachineConfig
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table
 
-#: The eight configurations of Figure 2, in presentation order.
-CONFIG_KEYS: Tuple[str, ...] = (
-    "DIE",
-    "DIE-2xALU",
-    "DIE-2xRUU",
-    "DIE-2xWidths",
-    "DIE-2xALU-2xRUU",
-    "DIE-2xALU-2xWidths",
-    "DIE-2xRUU-2xWidths",
-    "DIE-2xALU-2xRUU-2xWidths",
-)
-
+#: (ALU, RUU/LSQ, widths) scale of each Figure 2 bar, in presentation order.
 _SCALES: Dict[str, Tuple[int, int, int]] = {
     "DIE": (1, 1, 1),
     "DIE-2xALU": (2, 1, 1),
@@ -39,6 +26,9 @@ _SCALES: Dict[str, Tuple[int, int, int]] = {
     "DIE-2xALU-2xRUU-2xWidths": (2, 2, 2),
 }
 
+#: The eight configurations of Figure 2, in presentation order.
+CONFIG_KEYS: Tuple[str, ...] = tuple(_SCALES)
+
 
 def config_for(key: str) -> MachineConfig:
     """Machine configuration for one Figure 2 bar."""
@@ -46,49 +36,27 @@ def config_for(key: str) -> MachineConfig:
     return MachineConfig.baseline().scaled(alu=alu, ruu=ruu, widths=widths)
 
 
-@dataclass
-class Fig2Result:
-    """Per-app loss percentages for each configuration."""
-
-    apps: List[str]
-    losses: Dict[str, Dict[str, float]]  # app -> config key -> loss %
-    sie_ipc: Dict[str, float]
-
-    def rows(self):
-        out = []
-        for app in self.apps:
-            out.append([app] + [self.losses[app][key] for key in CONFIG_KEYS])
-        out.append(
-            ["average"]
-            + [mean([self.losses[a][key] for a in self.apps]) for key in CONFIG_KEYS]
-        )
-        return out
-
-    def average(self, key: str) -> float:
-        return mean([self.losses[app][key] for app in self.apps])
-
-    def render(self) -> str:
-        return format_table(
-            ["app"] + [k.replace("DIE-", "") for k in CONFIG_KEYS],
-            self.rows(),
-            precision=1,
-            title="F2: % IPC loss vs SIE (Figure 2)",
-        )
+#: One column per configuration: its % IPC loss vs SIE.
+COLUMNS = [
+    (key.replace("DIE-", ""), lambda run, key=key: run.loss(key))
+    for key in CONFIG_KEYS
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> Fig2Result:
+) -> Table:
     """Reproduce Figure 2 over ``apps``."""
-    losses: Dict[str, Dict[str, float]] = {}
-    sie_ipc: Dict[str, float] = {}
-    models = [("sie", "sie", None, None)]
-    models += [(key, "die", config_for(key), None) for key in CONFIG_KEYS]
-    all_runs = run_apps(apps, models, n_insts=n_insts, seed=seed)
-    for app in apps:
-        runs = all_runs[app]
-        sie_ipc[app] = runs.ipc("sie")
-        losses[app] = {key: runs.loss(key) for key in CONFIG_KEYS}
-    return Fig2Result(apps=list(apps), losses=losses, sie_ipc=sie_ipc)
+    models = [SIE] + [(key, "die", config_for(key), None) for key in CONFIG_KEYS]
+    return build_table(
+        "F2: % IPC loss vs SIE (Figure 2)",
+        models,
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        precision=1,
+        average=True,
+    )

@@ -8,80 +8,49 @@ amplifies effective ALU bandwidth without adding ALUs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
-from ..isa import FUClass
-from ..simulation import format_table
 from ..core import MachineConfig
-from .common import DEFAULT_APPS, DEFAULT_N, run_apps
+from ..isa import FUClass
+from .common import DEFAULT_APPS, DEFAULT_N, AppRun, Table, build_table, plain
 
 
-@dataclass
-class BreakdownRow:
-    app: str
-    dup_via_irb: float  # fraction of duplicate instructions reused
-    dup_via_fu: float
-    die_alu_util: float
-    die_irb_alu_util: float
-    issue_saved_frac: float  # issue slots the reuse hits did not consume
+#: Both variants run the paper-baseline machine.
+_ALUS = MachineConfig.baseline().int_alu
 
 
-@dataclass
-class BreakdownResult:
-    entries: List[BreakdownRow]
+def _dup_via_irb(run: AppRun) -> float:
+    """Fraction of duplicates reused (one per architected instruction)."""
+    return run.stats("die-irb").irb_reuse_hits / run.n_insts
 
-    def rows(self):
-        return [
-            (
-                r.app,
-                r.dup_via_irb,
-                r.dup_via_fu,
-                r.die_alu_util,
-                r.die_irb_alu_util,
-                r.issue_saved_frac,
-            )
-            for r in self.entries
-        ]
 
-    def render(self) -> str:
-        return format_table(
-            ["app", "dup via IRB", "dup via FU", "ALU util DIE",
-             "ALU util DIE-IRB", "issue saved"],
-            self.rows(),
-            title="F10: duplicate-stream service breakdown",
-        )
+def _issue_saved(run: AppRun) -> float:
+    """Fraction of issue slots the reuse hits did not consume."""
+    stats = run.stats("die-irb")
+    return stats.irb_reuse_hits / max(1, stats.issued + stats.irb_reuse_hits)
+
+
+COLUMNS = [
+    ("dup via IRB", _dup_via_irb),
+    ("dup via FU", lambda run: 1.0 - _dup_via_irb(run)),
+    ("ALU util DIE", lambda run: run.stats("die").fu_utilization(FUClass.INT_ALU, _ALUS)),
+    ("ALU util DIE-IRB",
+     lambda run: run.stats("die-irb").fu_utilization(FUClass.INT_ALU, _ALUS)),
+    ("issue saved", _issue_saved),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> BreakdownResult:
+) -> Table:
     """Measure duplicate-stream servicing under DIE and DIE-IRB."""
-    entries = []
-    all_runs = run_apps(
+    return build_table(
+        "F10: duplicate-stream service breakdown",
+        [plain("die"), plain("die-irb")],
+        COLUMNS,
         apps,
-        [("die", "die", None, None), ("irb", "die-irb", None, None)],
-        n_insts=n_insts,
-        seed=seed,
+        n_insts,
+        seed,
     )
-    # Both variants run the paper-baseline machine (config=None above).
-    alus = MachineConfig.baseline().int_alu
-    for app in apps:
-        runs = all_runs[app]
-        die = runs.results["die"]
-        irb = runs.results["irb"]
-        hits = irb.stats.irb_reuse_hits
-        dup_total = n_insts  # one duplicate per architected instruction
-        entries.append(
-            BreakdownRow(
-                app=app,
-                dup_via_irb=hits / dup_total,
-                dup_via_fu=1.0 - hits / dup_total,
-                die_alu_util=die.stats.fu_utilization(FUClass.INT_ALU, alus),
-                die_irb_alu_util=irb.stats.fu_utilization(FUClass.INT_ALU, alus),
-                issue_saved_frac=hits / max(1, irb.stats.issued + hits),
-            )
-        )
-    return BreakdownResult(entries=entries)

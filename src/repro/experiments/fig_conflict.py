@@ -11,12 +11,10 @@ equal capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..reuse import IRBConfig
-from ..simulation import format_table
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table
 
 #: The compared organisations: key -> (ways, replacement).
 VARIANTS: Dict[str, Tuple[int, str]] = {
@@ -27,57 +25,28 @@ VARIANTS: Dict[str, Tuple[int, str]] = {
 }
 
 
-@dataclass
-class ConflictResult:
-    apps: List[str]
-    reuse: Dict[str, Dict[str, float]]  # variant -> app -> reuse rate
-    loss: Dict[str, Dict[str, float]]
-
-    def rows(self):
-        out = []
-        for app in self.apps:
-            out.append(
-                [app]
-                + [self.reuse[v][app] for v in VARIANTS]
-                + [self.loss[v][app] for v in VARIANTS]
-            )
-        out.append(
-            ["average"]
-            + [mean(list(self.reuse[v].values())) for v in VARIANTS]
-            + [mean(list(self.loss[v].values())) for v in VARIANTS]
-        )
-        return out
-
-    def render(self) -> str:
-        headers = (
-            ["app"]
-            + [f"reuse {v}" for v in VARIANTS]
-            + [f"loss% {v}" for v in VARIANTS]
-        )
-        return format_table(
-            headers,
-            self.rows(),
-            title="F9: IRB conflict-miss reduction (1024 entries)",
-        )
+COLUMNS = [
+    *((f"reuse {v}", lambda run, v=v: run.stats(v).irb_reuse_rate) for v in VARIANTS),
+    *((f"loss% {v}", lambda run, v=v: run.loss(v)) for v in VARIANTS),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> ConflictResult:
+) -> Table:
     """Compare the IRB organisations of :data:`VARIANTS`."""
-    reuse: Dict[str, Dict[str, float]] = {v: {} for v in VARIANTS}
-    loss: Dict[str, Dict[str, float]] = {v: {} for v in VARIANTS}
-    models = [("sie", "sie", None, None)]
-    for key, (ways, replacement) in VARIANTS.items():
-        models.append(
-            (key, "die-irb", None, IRBConfig(ways=ways, replacement=replacement))
-        )
-    all_runs = run_apps(apps, models, n_insts=n_insts, seed=seed)
-    for app in apps:
-        runs = all_runs[app]
-        for key in VARIANTS:
-            reuse[key][app] = runs.results[key].stats.irb_reuse_rate
-            loss[key][app] = runs.loss(key)
-    return ConflictResult(apps=list(apps), reuse=reuse, loss=loss)
+    models = [SIE] + [
+        (key, "die-irb", None, IRBConfig(ways=ways, replacement=replacement))
+        for key, (ways, replacement) in VARIANTS.items()
+    ]
+    return build_table(
+        "F9: IRB conflict-miss reduction (1024 entries)",
+        models,
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        average=True,
+    )

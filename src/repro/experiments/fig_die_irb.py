@@ -8,106 +8,52 @@ loss" — the DIE → SIE gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import replace
+from typing import Sequence
 
-from ..simulation import format_table, recovered_fraction
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from ..simulation import recovered_fraction
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table, plain
 from .fig2_resources import config_for
 
 
-@dataclass
-class DieIrbRow:
-    app: str
-    sie_ipc: float
-    die_ipc: float
-    die_2xalu_ipc: float
-    die_irb_ipc: float
-    die_loss: float
-    die_irb_loss: float
-    alu_recovery: float  # fraction of the DIE->2xALU gap recovered
-    overall_recovery: float  # fraction of the DIE->SIE gap recovered
-    reuse_rate: float
-
-
-@dataclass
-class DieIrbResult:
-    entries: List[DieIrbRow]
-
-    def rows(self):
-        return [
-            (
-                r.app,
-                r.sie_ipc,
-                r.die_ipc,
-                r.die_irb_ipc,
-                r.die_loss,
-                r.die_irb_loss,
-                r.alu_recovery,
-                r.overall_recovery,
-                r.reuse_rate,
-            )
-            for r in self.entries
-        ]
-
-    @property
-    def mean_alu_recovery(self) -> float:
-        return mean([r.alu_recovery for r in self.entries])
-
-    @property
-    def mean_overall_recovery(self) -> float:
-        return mean([r.overall_recovery for r in self.entries])
-
-    def render(self) -> str:
-        table = format_table(
-            ["app", "SIE", "DIE", "DIE-IRB", "DIE loss%", "IRB loss%",
-             "ALU-rec", "overall-rec", "reuse"],
-            self.rows(),
-            title="F5: DIE-IRB headline result",
-        )
-        summary = (
-            f"\nmean recovery of ALU-bandwidth loss: {self.mean_alu_recovery:.2f}"
-            f"  (paper: ~0.50)\n"
-            f"mean recovery of overall loss:       {self.mean_overall_recovery:.2f}"
-            f"  (paper: ~0.23)"
-        )
-        return table + summary
+#: Each app's IPCs, losses, and the fractions of the DIE->2xALU
+#: (ALU-bandwidth) and DIE->SIE (overall) gaps that DIE-IRB recovers.
+COLUMNS = [
+    ("SIE", lambda run: run.ipc("sie")),
+    ("DIE", lambda run: run.ipc("die")),
+    ("DIE-IRB", lambda run: run.ipc("die-irb")),
+    ("DIE loss%", lambda run: run.loss("die")),
+    ("IRB loss%", lambda run: run.loss("die-irb")),
+    ("ALU-rec", lambda run: recovered_fraction(
+        run.ipc("die"), run.ipc("die-irb"), run.ipc("die2a"))),
+    ("overall-rec", lambda run: recovered_fraction(
+        run.ipc("die"), run.ipc("die-irb"), run.ipc("sie"))),
+    ("reuse", lambda run: run.stats("die-irb").irb_reuse_rate),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> DieIrbResult:
+) -> Table:
     """Measure DIE-IRB against SIE, DIE and the DIE-2xALU bound."""
-    entries = []
-    all_runs = run_apps(
-        apps,
+    table = build_table(
+        "F5: DIE-IRB headline result",
         [
-            ("sie", "sie", None, None),
-            ("die", "die", None, None),
+            SIE,
+            plain("die"),
             ("die2a", "die", config_for("DIE-2xALU"), None),
-            ("irb", "die-irb", None, None),
+            plain("die-irb"),
         ],
-        n_insts=n_insts,
-        seed=seed,
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
     )
-    for app in apps:
-        runs = all_runs[app]
-        sie, die = runs.ipc("sie"), runs.ipc("die")
-        die2a, irb = runs.ipc("die2a"), runs.ipc("irb")
-        entries.append(
-            DieIrbRow(
-                app=app,
-                sie_ipc=sie,
-                die_ipc=die,
-                die_2xalu_ipc=die2a,
-                die_irb_ipc=irb,
-                die_loss=runs.loss("die"),
-                die_irb_loss=runs.loss("irb"),
-                alu_recovery=recovered_fraction(die, irb, die2a),
-                overall_recovery=recovered_fraction(die, irb, sie),
-                reuse_rate=runs.results["irb"].stats.irb_reuse_rate,
-            )
-        )
-    return DieIrbResult(entries=entries)
+    return replace(table, note=(
+        f"\nmean recovery of ALU-bandwidth loss: {table.mean('ALU-rec'):.2f}"
+        f"  (paper: ~0.50)\n"
+        f"mean recovery of overall loss:       {table.mean('overall-rec'):.2f}"
+        f"  (paper: ~0.23)"
+    ))

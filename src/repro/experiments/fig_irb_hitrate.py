@@ -9,75 +9,40 @@ pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
-from ..simulation import format_table, get_trace
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
-
-
-@dataclass
-class HitRateRow:
-    app: str
-    lookups: int
-    pc_hit_rate: float
-    reuse_rate: float
-    port_starved_frac: float
-    write_drop_frac: float
-    static_pcs: int
+from ..core import SimStats
+from ..simulation import get_trace
+from .common import DEFAULT_APPS, DEFAULT_N, AppRun, Table, build_table, plain
 
 
-@dataclass
-class HitRateResult:
-    entries: List[HitRateRow]
+def _irb(run: AppRun) -> SimStats:
+    return run.stats("die-irb")
 
-    def rows(self):
-        return [
-            (
-                r.app,
-                r.lookups,
-                r.pc_hit_rate,
-                r.reuse_rate,
-                r.port_starved_frac,
-                r.write_drop_frac,
-                r.static_pcs,
-            )
-            for r in self.entries
-        ]
 
-    @property
-    def mean_reuse(self) -> float:
-        return mean([r.reuse_rate for r in self.entries])
-
-    def render(self) -> str:
-        return format_table(
-            ["app", "lookups", "PC-hit", "reuse", "port-starved", "wr-drop", "static PCs"],
-            self.rows(),
-            title="F6: IRB hit/reuse rates (1024-entry direct-mapped)",
-        )
+COLUMNS = [
+    ("lookups", lambda run: _irb(run).irb_lookups),
+    ("PC-hit", lambda run: _irb(run).irb_pc_hit_rate),
+    ("reuse", lambda run: _irb(run).irb_reuse_rate),
+    ("port-starved",
+     lambda run: _irb(run).irb_port_starved / max(1, _irb(run).irb_lookups)),
+    ("wr-drop", lambda run: _irb(run).irb_write_drops / max(1, _irb(run).irb_writes)),
+    ("static PCs",
+     lambda run: get_trace(run.app, run.n_insts, run.seed).summary().unique_pcs),
+]
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> HitRateResult:
+) -> Table:
     """Measure IRB behaviour for every application under DIE-IRB."""
-    entries = []
-    all_runs = run_apps(apps, [("irb", "die-irb", None, None)], n_insts=n_insts, seed=seed)
-    for app in apps:
-        stats = all_runs[app].results["irb"].stats
-        trace = get_trace(app, n_insts, seed)
-        lookups = max(1, stats.irb_lookups)
-        entries.append(
-            HitRateRow(
-                app=app,
-                lookups=stats.irb_lookups,
-                pc_hit_rate=stats.irb_pc_hit_rate,
-                reuse_rate=stats.irb_reuse_rate,
-                port_starved_frac=stats.irb_port_starved / lookups,
-                write_drop_frac=stats.irb_write_drops / max(1, stats.irb_writes),
-                static_pcs=trace.summary().unique_pcs,
-            )
-        )
-    return HitRateResult(entries=entries)
+    return build_table(
+        "F6: IRB hit/reuse rates (1024-entry direct-mapped)",
+        [plain("die-irb")],
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+    )

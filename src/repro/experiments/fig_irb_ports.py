@@ -8,42 +8,19 @@ reports the starvation fraction and mean IPC loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from ..reuse import IRBConfig
-from ..simulation import format_series
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table
 
 DEFAULT_PORTS = (1, 2, 4, 6, 8)
 
 
-@dataclass
-class PortSweepResult:
-    apps: List[str]
-    ports: List[int]
-    loss: Dict[int, Dict[str, float]]
-    starved: Dict[int, Dict[str, float]]
-
-    def mean_loss(self, p: int) -> float:
-        return mean(list(self.loss[p].values()))
-
-    def mean_starved(self, p: int) -> float:
-        return mean(list(self.starved[p].values()))
-
-    def rows(self):
-        return [(p, self.mean_loss(p), self.mean_starved(p)) for p in self.ports]
-
-    def render(self) -> str:
-        return format_series(
-            "read ports",
-            self.ports,
-            [
-                ("mean loss %", [self.mean_loss(p) for p in self.ports]),
-                ("starved frac", [self.mean_starved(p) for p in self.ports]),
-            ],
-            title="F8: IRB read-port sensitivity (RW ports fixed at 2)",
-        )
+COLUMNS = [
+    ("mean loss %", lambda run, p: run.loss(p)),
+    ("starved frac", lambda run, p: run.stats(p).irb_port_starved
+     / max(1, run.stats(p).irb_lookups)),
+]
 
 
 def run(
@@ -51,21 +28,15 @@ def run(
     n_insts: int = DEFAULT_N,
     seed: int = 1,
     ports: Sequence[int] = DEFAULT_PORTS,
-) -> PortSweepResult:
+) -> Table:
     """Sweep IRB read-port provisioning."""
-    loss: Dict[int, Dict[str, float]] = {p: {} for p in ports}
-    starved: Dict[int, Dict[str, float]] = {p: {} for p in ports}
-    models = [("sie", "sie", None, None)]
-    models += [
-        (f"p{p}", "die-irb", None, IRBConfig(read_ports=p)) for p in ports
-    ]
-    all_runs = run_apps(apps, models, n_insts=n_insts, seed=seed)
-    for app in apps:
-        runs = all_runs[app]
-        for p in ports:
-            stats = runs.results[f"p{p}"].stats
-            loss[p][app] = runs.loss(f"p{p}")
-            starved[p][app] = stats.irb_port_starved / max(1, stats.irb_lookups)
-    return PortSweepResult(
-        apps=list(apps), ports=list(ports), loss=loss, starved=starved
+    models = [SIE] + [(p, "die-irb", None, IRBConfig(read_ports=p)) for p in ports]
+    return build_table(
+        "F8: IRB read-port sensitivity (RW ports fixed at 2)",
+        models,
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        sweep=("read ports", ports),
     )

@@ -9,45 +9,18 @@ benefiting the longest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from ..reuse import IRBConfig
-from ..simulation import format_series
-from .common import DEFAULT_APPS, DEFAULT_N, mean, run_apps
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, build_table
 
 DEFAULT_SIZES = (128, 256, 512, 1024, 2048, 4096)
 
 
-@dataclass
-class SizeSweepResult:
-    apps: List[str]
-    sizes: List[int]
-    loss: Dict[int, Dict[str, float]]  # size -> app -> loss %
-    reuse: Dict[int, Dict[str, float]]
-
-    def mean_loss(self, size: int) -> float:
-        return mean(list(self.loss[size].values()))
-
-    def mean_reuse(self, size: int) -> float:
-        return mean(list(self.reuse[size].values()))
-
-    def rows(self):
-        return [
-            (size, self.mean_loss(size), self.mean_reuse(size))
-            for size in self.sizes
-        ]
-
-    def render(self) -> str:
-        return format_series(
-            "entries",
-            self.sizes,
-            [
-                ("mean loss %", [self.mean_loss(s) for s in self.sizes]),
-                ("mean reuse", [self.mean_reuse(s) for s in self.sizes]),
-            ],
-            title="F7: IRB size sensitivity (direct-mapped)",
-        )
+COLUMNS = [
+    ("mean loss %", lambda run, size: run.loss(size)),
+    ("mean reuse", lambda run, size: run.stats(size).irb_reuse_rate),
+]
 
 
 def run(
@@ -55,20 +28,15 @@ def run(
     n_insts: int = DEFAULT_N,
     seed: int = 1,
     sizes: Sequence[int] = DEFAULT_SIZES,
-) -> SizeSweepResult:
+) -> Table:
     """Sweep IRB entry counts for every application."""
-    loss: Dict[int, Dict[str, float]] = {s: {} for s in sizes}
-    reuse: Dict[int, Dict[str, float]] = {s: {} for s in sizes}
-    models = [("sie", "sie", None, None)]
-    models += [
-        (f"irb{s}", "die-irb", None, IRBConfig(entries=s)) for s in sizes
-    ]
-    all_runs = run_apps(apps, models, n_insts=n_insts, seed=seed)
-    for app in apps:
-        runs = all_runs[app]
-        for s in sizes:
-            loss[s][app] = runs.loss(f"irb{s}")
-            reuse[s][app] = runs.results[f"irb{s}"].stats.irb_reuse_rate
-    return SizeSweepResult(
-        apps=list(apps), sizes=list(sizes), loss=loss, reuse=reuse
+    models = [SIE] + [(s, "die-irb", None, IRBConfig(entries=s)) for s in sizes]
+    return build_table(
+        "F7: IRB size sensitivity (direct-mapped)",
+        models,
+        COLUMNS,
+        apps,
+        n_insts,
+        seed,
+        sweep=("entries", sizes),
     )

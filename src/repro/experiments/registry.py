@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from ..campaign import ResultStore, campaign_context, current_context
 from . import (
     ablation_clustered,
     ablation_forwarding,
@@ -46,32 +45,9 @@ class Experiment:
     #: and `repro serve` refuses them.
     direct: bool = False
 
-    def run(
-        self,
-        *args: Any,
-        parallel: Optional[int] = None,
-        store: Optional[ResultStore] = None,
-        **kwargs: Any,
-    ) -> Any:
-        """Regenerate this artifact, optionally through the campaign layer.
-
-        ``parallel`` (worker processes) and ``store`` (a
-        :class:`repro.campaign.ResultStore`) install a campaign context
-        around the experiment module's ``run``; simulations then fan out
-        over workers and repeat specs are answered from the store.  With
-        neither set — and no ambient context already installed — the
-        module runs exactly as before.
-        """
-        if parallel is None and store is None:
-            return self.module.run(*args, **kwargs)
-        ambient = current_context()
-        if ambient is not None and parallel is None:
-            parallel = ambient.jobs_n
-        if ambient is not None and store is None:
-            store = ambient.store
-        progress = ambient.progress if ambient is not None else None
-        with campaign_context(jobs_n=parallel or 1, store=store, progress=progress):
-            return self.module.run(*args, **kwargs)
+    def run(self, *args: Any, **kwargs: Any) -> Any:
+        """Regenerate this artifact (in the ambient campaign context, if any)."""
+        return self.module.run(*args, **kwargs)
 
 
 EXPERIMENTS: Dict[str, Experiment] = {

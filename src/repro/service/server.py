@@ -70,14 +70,18 @@ class ServeError(Exception):
         self.payload = {"error": message, **extra}
 
 
-def _experiment_payload(query: Dict[str, str]) -> Tuple[dict, dict]:
-    """Parse an ``/experiment`` query into (run kwargs, sampling kwargs)."""
+def _experiment_payload(
+    query: Dict[str, str],
+) -> Tuple[dict, Optional[SamplingPlan]]:
+    """Parse an ``/experiment`` query into (run kwargs, sampling plan)."""
     kwargs: dict = {}
     if query.get("apps"):
         kwargs["apps"] = tuple(a for a in query["apps"].split(",") if a)
     try:
         if query.get("n"):
             kwargs["n_insts"] = int(query["n"])
+            if kwargs["n_insts"] < 1:
+                raise ValueError("n must be >= 1")
         if query.get("seed"):
             kwargs["seed"] = int(query["seed"])
         sampling: dict = {}
@@ -89,9 +93,10 @@ def _experiment_payload(query: Dict[str, str]) -> Tuple[dict, dict]:
                         float(raw) if field_name == "budget" else int(raw)
                     )
             sampling.setdefault("interval", SamplingPlan().interval)
+        plan = SamplingPlan(**sampling) if sampling else None
     except ValueError as error:
         raise ServeError(400, f"bad query parameter: {error}") from None
-    return kwargs, sampling
+    return kwargs, plan
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -140,14 +145,13 @@ class ReproServer(ThreadingHTTPServer):
                 f"experiment {experiment.id} reads live pipeline state and "
                 "cannot be answered from the store",
             )
-        kwargs, sampling = _experiment_payload(query)
-        plan = SamplingPlan(**sampling) if sampling else None
+        kwargs, plan = _experiment_payload(query)
         with self.experiment_lock:
             with campaign_context(
                 store=self.store, sampling=plan, store_only=True
             ) as context:
                 try:
-                    result = experiment.module.run(**kwargs)
+                    result = experiment.run(**kwargs)
                 except StoreMissError as error:
                     raise ServeError(
                         409,

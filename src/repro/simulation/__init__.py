@@ -6,7 +6,7 @@ from .metrics import (
     ipc_loss_pct,
     recovered_fraction,
 )
-from .reporting import format_series, format_table
+from .reporting import format_table
 from .runner import MODELS, RunResult, get_trace, run_workload, simulate
 from .sweep import SweepResult, sweep, sweep_jobs
 
@@ -15,7 +15,6 @@ __all__ = [
     "RunResult",
     "SweepResult",
     "arithmetic_mean",
-    "format_series",
     "format_table",
     "geometric_mean",
     "get_trace",

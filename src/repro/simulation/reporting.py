@@ -1,4 +1,4 @@
-"""Plain-text table/series rendering for experiment output.
+"""Plain-text table rendering for experiment output.
 
 Every experiment prints through these helpers so the benchmark harness
 emits rows in a uniform, paper-like format.
@@ -48,21 +48,3 @@ def format_table(
     out.extend(line(row) for row in rendered)
     return "\n".join(out)
 
-
-def format_series(
-    x_label: str,
-    xs: Sequence[object],
-    series: Sequence[tuple],
-    precision: int = 2,
-    title: str = "",
-) -> str:
-    """Render figure-style data: one x column plus one column per series.
-
-    ``series`` is a sequence of ``(name, values)`` pairs, each ``values``
-    aligned with ``xs``.
-    """
-    headers = [x_label] + [name for name, _ in series]
-    rows = []
-    for index, x in enumerate(xs):
-        rows.append([x] + [values[index] for _, values in series])
-    return format_table(headers, rows, precision=precision, title=title)

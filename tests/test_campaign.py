@@ -248,10 +248,12 @@ class TestCampaignContext:
 
         store = ResultStore(tmp_path / "store")
         experiment = get_experiment("F5")
-        first = experiment.run(apps=("gzip",), n_insts=N, parallel=2, store=store)
+        with campaign_context(jobs_n=2, store=store):
+            first = experiment.run(apps=("gzip",), n_insts=N)
         assert store.writes > 0
-        again = experiment.run(apps=("gzip",), n_insts=N, parallel=2, store=store)
-        assert [r.sie_ipc for r in again.entries] == [r.sie_ipc for r in first.entries]
+        with campaign_context(jobs_n=2, store=store):
+            again = experiment.run(apps=("gzip",), n_insts=N)
+        assert again.column("SIE") == first.column("SIE")
         assert store.hits >= store.writes
 
 

@@ -43,16 +43,15 @@ class TestFigure2:
         from repro.experiments.fig2_resources import CONFIG_KEYS
 
         result = get_experiment("F2").run(**SMALL)
-        for app in SMALL["apps"]:
-            assert set(result.losses[app]) == set(CONFIG_KEYS)
+        assert result.headers[1:] == tuple(k.replace("DIE-", "") for k in CONFIG_KEYS)
+        for key in result.headers[1:]:
+            assert set(result.column(key)) == set(SMALL["apps"])
 
     def test_f2_full_doubling_nearly_recovers(self):
         result = get_experiment("F2").run(**SMALL)
+        doubled, die = result.column("2xALU-2xRUU-2xWidths"), result.column("DIE")
         for app in SMALL["apps"]:
-            assert (
-                result.losses[app]["DIE-2xALU-2xRUU-2xWidths"]
-                <= result.losses[app]["DIE"] + 1.0
-            )
+            assert doubled[app] <= die[app] + 1.0
 
     def test_f2_renders_average_row(self):
         assert "average" in get_experiment("F2").run(**SMALL).render()
@@ -61,50 +60,59 @@ class TestFigure2:
 class TestHeadline:
     def test_f5_recovery_fractions_bounded(self):
         result = get_experiment("F5").run(**SMALL)
-        for row in result.entries:
-            assert row.die_irb_ipc >= row.die_ipc * 0.99
-        assert "-0." not in f"{max(0.0, result.mean_overall_recovery):.2f}"
+        die, irb = result.column("DIE"), result.column("DIE-IRB")
+        for app in SMALL["apps"]:
+            assert irb[app] >= die[app] * 0.99
+        assert "-0." not in f"{max(0.0, result.mean('overall-rec')):.2f}"
 
     def test_f6_rates_are_probabilities(self):
         result = get_experiment("F6").run(**SMALL)
-        for row in result.entries:
-            assert 0 <= row.reuse_rate <= row.pc_hit_rate <= 1
+        reuse, pc_hit = result.column("reuse"), result.column("PC-hit")
+        for app in SMALL["apps"]:
+            assert 0 <= reuse[app] <= pc_hit[app] <= 1
 
 
 class TestSweeps:
     def test_f7_size_sweep_monotone_reuse(self):
         result = get_experiment("F7").run(sizes=(64, 1024), **SMALL)
-        assert result.mean_reuse(1024) >= result.mean_reuse(64) - 0.01
+        reuse = result.column("mean reuse")
+        assert reuse[1024] >= reuse[64] - 0.01
 
     def test_f8_more_ports_less_starvation(self):
         result = get_experiment("F8").run(ports=(1, 8), **SMALL)
-        assert result.mean_starved(8) <= result.mean_starved(1)
+        starved = result.column("starved frac")
+        assert starved[8] <= starved[1]
 
     def test_a3_latency_sweep_monotone(self):
         result = get_experiment("A3").run(latencies=(1, 12), **SMALL)
-        assert result.mean_loss(12) >= result.mean_loss(1) - 0.5
+        loss = result.column("mean loss %")
+        assert loss[12] >= loss[1] - 0.5
 
     def test_f9_variants_all_run(self):
         result = get_experiment("F9").run(**SMALL)
-        assert set(result.reuse) == {"DM", "DM+CTR", "2-way", "4-way"}
+        variants = ("DM", "DM+CTR", "2-way", "4-way")
+        assert result.headers[1:5] == tuple(f"reuse {v}" for v in variants)
 
 
 class TestBreakdownAndAblations:
     def test_f10_fractions_sum_to_one(self):
         result = get_experiment("F10").run(**SMALL)
-        for row in result.entries:
-            assert row.dup_via_irb + row.dup_via_fu == pytest.approx(1.0)
+        via_irb, via_fu = result.column("dup via IRB"), result.column("dup via FU")
+        for app in SMALL["apps"]:
+            assert via_irb[app] + via_fu[app] == pytest.approx(1.0)
 
     def test_a1_name_based_never_reuses_more(self):
         result = get_experiment("A1").run(**SMALL)
+        name, value = result.column("reuse (name)"), result.column("reuse (value)")
         for app in SMALL["apps"]:
-            assert result.name_reuse[app] <= result.value_reuse[app] + 0.01
+            assert name[app] <= value[app] + 0.01
 
     def test_a2_speedups_positive(self):
         result = get_experiment("A2").run(**SMALL)
+        sie, die = result.column("SIE-IRB speedup"), result.column("DIE-IRB speedup")
         for app in SMALL["apps"]:
-            assert result.sie_speedup[app] > 0.9
-            assert result.die_speedup[app] > 0.95
+            assert sie[app] > 0.9
+            assert die[app] > 0.95
 
 
 class TestFaultCoverage:

@@ -328,6 +328,16 @@ class TestServe:
                 assert status == 400
                 assert "live pipeline state" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize(
+        "query", ["sample=1&chunk=0", "sample=1&budget=2", "n=0", "n=-5"]
+    )
+    def test_out_of_range_query_is_400(self, tmp_path, query):
+        with running_server(ResultStore(tmp_path)) as server:
+            status, body = http_get(f"{server.url}/experiment/F5?{query}")
+            assert status == 400
+            assert "bad query parameter" in json.loads(body)["error"]
+            assert server.simulations_executed == 0
+
     def test_put_is_501_and_store_unchanged(self, tmp_path):
         store = ResultStore(tmp_path)
         key = put_result(store, Job("gzip", N))

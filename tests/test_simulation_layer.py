@@ -4,7 +4,6 @@ import pytest
 
 from repro.simulation import (
     MODELS,
-    format_series,
     format_table,
     geometric_mean,
     get_trace,
@@ -111,10 +110,6 @@ class TestReporting:
     def test_table_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-    def test_series_layout(self):
-        text = format_series("size", [1, 2], [("loss", [10.0, 5.0])])
-        assert "size" in text and "loss" in text and "5.00" in text
 
     def test_bool_rendering(self):
         text = format_table(["flag"], [[True], [False]])
