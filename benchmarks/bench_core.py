@@ -8,6 +8,9 @@ Times the F2 baseline cell set (the twelve SPEC-like apps on
         [--baseline-src DIR] [--min-seed-speedup X] [--check [--tolerance PCT]]
 
 * ``fast`` — this tree: the shipping core with its decoded-trace cache.
+  ``insts_per_s`` gives, per model, simulated instructions per host
+  second over all apps (``len(apps) * n_insts`` over the model's summed
+  wall time).
 * ``seed`` — optional: the same cells against an older checkout
   (``--baseline-src path/to/seed/src``), run in a subprocess with
   ``PYTHONPATH`` pointing at that tree.  ``speedup_vs_seed`` (seed wall
@@ -101,13 +104,21 @@ def _merge_minima(
 
 
 def _cells_payload(
-    apps: Sequence[str], times: List[float]
+    apps: Sequence[str], times: List[float], n_insts: int
 ) -> Dict[str, object]:
+    names = cell_names(apps)
     return {
         "wall_s": round(sum(times), 4),
+        "insts_per_s": {
+            model: round(len(apps) * n_insts / sum(
+                wall for name, wall in zip(names, times)
+                if name.endswith(f"/{model}")
+            ))
+            for model in MODELS
+        },
         "cells": {
             name: round(wall, 5)
-            for name, wall in zip(cell_names(apps), times)
+            for name, wall in zip(names, times)
         },
     }
 
@@ -182,7 +193,7 @@ def main() -> int:
             )
     assert fast_min is not None
 
-    fast = _cells_payload(apps, fast_min)
+    fast = _cells_payload(apps, fast_min, args.n)
     payload: Dict[str, object] = {
         "benchmark": "core",
         "apps": list(apps),
@@ -192,7 +203,7 @@ def main() -> int:
         "fast": fast,
     }
     if seed_min is not None:
-        seed = _cells_payload(apps, seed_min)
+        seed = _cells_payload(apps, seed_min, args.n)
         payload["seed"] = seed
         payload["speedup_vs_seed"] = round(
             seed["wall_s"] / fast["wall_s"], 3

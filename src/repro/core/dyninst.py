@@ -31,13 +31,10 @@ class DynInst:
         "pair",
         "pending",
         "consumers",
-        "ready_cycle",
         "issued",
         "complete",
-        "complete_cycle",
         "result",
         "mem_addr",
-        "mispredicted",
         "in_lsq",
         "irb_entry",
         "irb_ready_cycle",
@@ -56,13 +53,10 @@ class DynInst:
         self.pair: Optional[DynInst] = None
         self.pending = 0
         self.consumers: List[DynInst] = []
-        self.ready_cycle: Optional[int] = None
         self.issued = False
         self.complete = False
-        self.complete_cycle: Optional[int] = None
         self.result: object = trace.result
         self.mem_addr: object = trace.mem_addr
-        self.mispredicted = False
         self.in_lsq = False
         # IRB state (typed loosely: the entry class lives in the reuse
         # package, which the base core must not import).

@@ -31,15 +31,27 @@ class FUPool:
         return any(busy <= cycle for busy in units)
 
     def issue(self, fu: FUClass, cycle: int, timing: OpTiming) -> bool:
-        """Claim a unit of class ``fu`` at ``cycle``; False if none free."""
+        """Claim a unit of class ``fu`` at ``cycle``; False if none free.
+
+        Units are interchangeable and a unit free at ``cycle`` stays free,
+        so claiming the least busy one is the same as claiming any free
+        one.  ``OOOPipeline._try_issue`` inlines this rule.
+        """
         units = self._busy_until.get(fu)
-        if units is None:
+        if not units:
             return False
-        for index in range(len(units)):
-            if units[index] <= cycle:
-                units[index] = cycle + timing.init_interval
-                return True
-        return False
+        free = min(units)
+        if free > cycle:
+            return False
+        units[units.index(free)] = cycle + timing.init_interval
+        return True
+
+    def units(self, fu: FUClass) -> List[int]:
+        """The live busy-until list of class ``fu`` (empty if none).
+
+        The issue stage claims units through this list directly.
+        """
+        return self._busy_until.get(fu, [])
 
     def free_units(self, fu: FUClass, cycle: int) -> int:
         """Number of free units of class ``fu`` at ``cycle``."""

@@ -13,7 +13,10 @@ The model is a trace-driven reconstruction of SimpleScalar's
   producer-linking because the trace is already in dataflow order.
 * **issue** — oldest-first wakeup/select over ready instructions, bounded
   by ``issue_width`` and functional-unit availability (unpipelined units
-  block their unit for the full initiation interval).
+  block their unit for the full initiation interval).  Ready entries wait
+  in one uid-ordered heap per FU class (an issue *lane*), so a class
+  whose units are all busy costs one failed claim per cycle, not one per
+  waiting entry.
 * **memory** — loads do a 1-cycle address calculation on an integer ALU,
   then arbitrate for a D-cache port; latency comes from the two-level
   hierarchy + DRAM model.  Stores complete after address calculation and
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 from ..branch import BranchTargetBuffer, ReturnAddressStack, make_predictor
 from ..isa import FUClass, NUM_REGS, TraceInst
@@ -102,8 +105,8 @@ class OOOPipeline:
         self.fetch_resume_cycle = 0
         self.fetch_blocked_seq: Optional[int] = None
         self._last_fetch_block: Optional[int] = None
-        # decode queue entries: (dispatchable_cycle, TraceInst, mispredicted)
-        self.decode_q: Deque[Tuple[int, TraceInst, bool]] = deque()
+        # decode queue entries: (dispatchable_cycle, TraceInst)
+        self.decode_q: Deque[Tuple[int, TraceInst]] = deque()
         # A shallow fetch/dispatch queue (2 fetch groups), as in
         # SimpleScalar's IFQ: deep queues would stretch branch-resolution
         # time artificially when dispatch bandwidth halves under DIE.
@@ -113,12 +116,7 @@ class OOOPipeline:
         self.ruu: Deque[DynInst] = deque()
         self.lsq_count = 0
         self._events: List[Tuple[int, int, str, DynInst]] = []
-        self._ready: List[Tuple[int, DynInst]] = []
-        self._fu_blocked: List[Tuple[int, DynInst]] = []
-        # FU classes whose claim already failed this cycle (cleared at the
-        # top of each _issue pass): a per-cycle negative-result memo.
-        # Subclasses with partitioned pools may key it more finely.
-        self._fu_full: Set[Any] = set()
+        self._lay_out_lanes((self.fu,), self.config.issue_width)
         self.mem_queue: Deque[DynInst] = deque()
         # last producer of each register, per stream
         self._producers = [
@@ -135,15 +133,35 @@ class OOOPipeline:
         # uninstrumented path never constructs an event.
         self.tracer: Tracer = NULL_TRACER
 
+    def _lay_out_lanes(self, pools: Sequence[FUPool], width: int) -> None:
+        """One issue lane per (pool, FU class), each pool with its own budget.
+
+        Lane ``p * len(FUClass) + fu`` is a (uid, entry) min-heap of ready
+        entries of class ``fu`` for pool ``p``.  ``_lane_units[i]`` is the
+        busy-until list lane i claims from (``None``: the entry needs no
+        unit), ``_lane_groups[i]`` the issue budget it draws on (its pool),
+        and ``_group_widths[p]`` that budget's per-cycle width.
+        """
+        self._lanes: List[List[Tuple[int, DynInst]]] = [
+            [] for _ in pools for _ in FUClass
+        ]
+        self._lane_units: List[Optional[List[int]]] = [
+            None if fu is FUClass.NONE else pool.units(fu)
+            for pool in pools
+            for fu in FUClass
+        ]
+        self._lane_groups: List[int] = [
+            group for group in range(len(pools)) for _ in FUClass
+        ]
+        self._group_widths: List[int] = [width] * len(pools)
+
     # ==================================================================
     # Hooks overridden by DIE / DIE-IRB
     # ==================================================================
 
-    def _hook_make_entries(self, inst: TraceInst, mispredicted: bool) -> List[DynInst]:
+    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
         """Build the RUU entries for one trace instruction."""
-        entry = DynInst(inst, PRIMARY)
-        entry.mispredicted = mispredicted
-        return [entry]
+        return [DynInst(inst, PRIMARY)]
 
     def _hook_source_stream(self, inst: DynInst) -> int:
         """Which stream's producer table feeds ``inst``'s sources."""
@@ -158,11 +176,15 @@ class OOOPipeline:
         return 0
 
     def _hook_on_ready(self, inst: DynInst, cycle: int) -> None:
-        """Operands available; default: contend for issue/FUs."""
-        heapq.heappush(self._ready, (inst.uid, inst))
+        """Operands available; default: join its FU class's issue lane."""
+        heapq.heappush(self._lanes[inst.trace.fu], (inst.uid, inst))
 
     def _hook_commit(self, budget: int) -> int:
-        """Commit from the RUU head; returns slots consumed."""
+        """Commit from the RUU head; returns slots consumed.
+
+        Only called when the head has completed: no commit can happen
+        otherwise, in any model.
+        """
         used = 0
         ruu = self.ruu
         stats = self.stats
@@ -183,7 +205,7 @@ class OOOPipeline:
     def _hook_decode_consumed(self) -> None:
         """A decode-queue entry was accepted for dispatch (SMT bookkeeping)."""
 
-    def _hook_dispatch_blocked(self, inst: TraceInst, mispredicted: bool) -> None:
+    def _hook_dispatch_blocked(self, inst: TraceInst) -> None:
         """Dispatch rejected the decode head (RUU/LSQ full) this cycle.
 
         ``_dispatch`` used to learn this by building the head's RUU
@@ -316,9 +338,10 @@ class OOOPipeline:
         events = self._events
         if events and events[0][0] <= cycle:
             self._process_events(cycle)
-        if self.ruu:
+        ruu = self.ruu
+        if ruu and ruu[0].complete:
             self._commit(cycle)
-        if self._ready or self._fu_blocked:
+        if any(self._lanes):
             self._issue(cycle)
         if self.mem_queue:
             self._start_memory(cycle)
@@ -358,7 +381,6 @@ class OOOPipeline:
         if self.fault_injector is not None:
             self.fault_injector.on_complete(inst, cycle)
         inst.complete = True
-        inst.complete_cycle = cycle
         tracer = self.tracer
         if tracer is not NULL_TRACER:
             trace = inst.trace
@@ -374,7 +396,6 @@ class OOOPipeline:
             consumer.pending -= 1
             if consumer.pending == 0 and not consumer.issued:
                 delay = self._hook_wake_delay(inst, consumer)
-                consumer.ready_cycle = cycle + delay
                 if delay:
                     self._schedule(cycle + delay, "reready", consumer)
                 else:
@@ -424,71 +445,85 @@ class OOOPipeline:
     # ==================================================================
 
     def _issue(self, cycle: int) -> None:
-        # Selection is oldest-first (by uid) across the newly-ready heap
-        # AND last cycle's FU-blocked leftovers.  The leftovers are already
-        # sorted (they were consumed in uid order), so a two-way merge
-        # visits the union in uid order without re-pushing every blocked
-        # entry into the heap each cycle — on an ALU-saturated DIE core
-        # that re-heaping dominated the issue stage.
-        ready = self._ready
-        blocked = self._fu_blocked
-        budget = self.config.issue_width
-        full = self._fu_full
-        if full:
-            full.clear()
-        skipped: List[Tuple[int, DynInst]] = []
-        bi = 0
-        bn = len(blocked)
-        while budget > 0 and (bi < bn or ready):
-            if bi < bn and (not ready or blocked[bi][0] < ready[0][0]):
-                item = blocked[bi]
-                bi += 1
-            else:
-                item = heapq.heappop(ready)
-            inst = item[1]
+        # Selection is oldest-first (by uid) across every lane: a small
+        # heap of lane heads merges the lanes in uid order.  A claim on a
+        # class fails only when every unit is busy, and units only get
+        # busier within a cycle, so a failed claim drops the whole lane
+        # for the rest of the cycle and its blocked entries are not
+        # visited again.  An entry of a full class uses no budget, so
+        # this is exactly a visit of every ready entry in uid order.
+        lanes = self._lanes
+        heads = [(lane[0][0], index) for index, lane in enumerate(lanes) if lane]
+        heapq.heapify(heads)
+        lane_units = self._lane_units
+        groups = self._lane_groups
+        budgets = self._group_widths[:]
+        try_issue = self._try_issue
+        while heads:
+            index = heads[0][1]
+            lane = lanes[index]
+            inst = lane[0][1]
             if inst.squashed or inst.issued:
+                heapq.heappop(lane)
+            elif try_issue(inst, cycle, lane_units[index]):
+                heapq.heappop(lane)
+                group = groups[index]
+                budgets[group] -= 1
+                if not budgets[group]:
+                    # Budget spent: every lane drawing on it is done.
+                    heads = [head for head in heads if groups[head[1]] != group]
+                    heapq.heapify(heads)
+                    continue
+            else:
+                heapq.heappop(heads)
                 continue
-            if not self._try_issue(inst, cycle):
-                skipped.append(item)
-                continue
-            budget -= 1
-        if bi < bn:
-            # Budget ran out: the unvisited tail stays blocked (its uids
-            # all exceed the visited ones, so `skipped` stays sorted).
-            skipped.extend(blocked[bi:])
-        self._fu_blocked = skipped
+            if lane:
+                heapq.heapreplace(heads, (lane[0][0], index))
+            else:
+                heapq.heappop(heads)
 
-    def _try_issue(self, inst: DynInst, cycle: int) -> bool:
+    def _try_issue(
+        self, inst: DynInst, cycle: int, units: Optional[List[int]]
+    ) -> bool:
+        """Issue ``inst`` on a free unit of ``units``; False if all busy.
+
+        ``units`` is the busy-until list of the lane's pool (``None``:
+        the entry needs no functional unit).  The claim is
+        :meth:`FUPool.issue`'s rule, inlined: take the least busy unit.
+        """
         trace = inst.trace
         fu = trace.fu
         stats = self.stats
-        tracer = self.tracer
-        if fu is FUClass.NONE:
+        if units is None:
             inst.issued = True
-            self._schedule(cycle + 1, "complete", inst)
+            heapq.heappush(self._events, (cycle + 1, inst.uid, "complete", inst))
             stats.issued += 1
-            if tracer is not NULL_TRACER:
-                tracer.emit(
-                    InstEvent(
-                        STAGE_ISSUE, cycle, trace.seq, trace.pc, trace.opcode,
-                        inst.stream, fu,
-                    )
-                )
-            return True
-        # Units only get busier within a cycle, so one failed claim rules
-        # out every later attempt on the same class this cycle.
-        full = self._fu_full
-        if fu in full:
-            return False
-        dec = inst.dec
-        # Duplicates of loads/stores perform only address calculation.
-        timing = dec.dup_timing if inst.stream else dec.timing
-        if not self.fu.issue(fu, cycle, timing):
-            full.add(fu)
-            return False
-        inst.issued = True
-        stats.issued += 1
-        stats.count_fu_issue(fu, timing.init_interval)
+        else:
+            if not units:
+                return False
+            free = min(units)
+            if free > cycle:
+                return False
+            dec = inst.dec
+            stream = inst.stream
+            # Duplicates of loads/stores perform only address calculation.
+            timing = dec.dup_timing if stream else dec.timing
+            busy = timing.init_interval
+            units[units.index(free)] = cycle + busy
+            inst.issued = True
+            stats.issued += 1
+            counts = stats.fu_issued
+            counts[fu] = counts.get(fu, 0) + 1
+            counts = stats.fu_busy_cycles
+            counts[fu] = counts.get(fu, 0) + busy
+            if dec.load and not stream:
+                # Address ready next cycle, then the access arbitrates for
+                # a D-cache port.
+                event = (cycle + 1, inst.uid, "addr_done", inst)
+            else:
+                event = (cycle + timing.latency, inst.uid, "complete", inst)
+            heapq.heappush(self._events, event)
+        tracer = self.tracer
         if tracer is not NULL_TRACER:
             tracer.emit(
                 InstEvent(
@@ -496,12 +531,6 @@ class OOOPipeline:
                     inst.stream, fu,
                 )
             )
-        if dec.load and not inst.stream:
-            # Address ready next cycle, then the access arbitrates for a
-            # D-cache port.
-            self._schedule(cycle + 1, "addr_done", inst)
-        else:
-            self._schedule(cycle + timing.latency, "complete", inst)
         return True
 
     def _schedule(self, when: int, kind: str, inst: DynInst) -> None:
@@ -535,88 +564,77 @@ class OOOPipeline:
         ruu_size = config.ruu_size
         lsq_size = config.lsq_size
         need = self.DISPATCH_ENTRIES
+        producers = self._producers
+        source_stream = self._hook_source_stream
+        effective_producer = self._hook_effective_producer
+        on_ready = self._hook_on_ready
+        tracer = self.tracer
+        tracing = tracer is not NULL_TRACER
         while budget > 0 and decode_q:
-            ready_at, trace_inst, mispredicted = decode_q[0]
+            ready_at, trace_inst = decode_q[0]
             if ready_at > cycle:
                 break
             if need > budget:
                 # Construction side effects (IRB probe accounting) happen
                 # even for a group that does not fit the cycle's budget.
-                self._hook_make_entries(trace_inst, mispredicted)
+                self._hook_make_entries(trace_inst)
                 break
             if len(ruu) + need > ruu_size:
                 stats.dispatch_stall_ruu += 1
-                self._hook_dispatch_blocked(trace_inst, mispredicted)
+                self._hook_dispatch_blocked(trace_inst)
                 break
             if self.lsq_count >= lsq_size and OP_META[trace_inst.opcode].mem:
                 stats.dispatch_stall_lsq += 1
-                self._hook_dispatch_blocked(trace_inst, mispredicted)
+                self._hook_dispatch_blocked(trace_inst)
                 break
-            entries = self._hook_make_entries(trace_inst, mispredicted)
+            entries = self._hook_make_entries(trace_inst)
             decode_q.popleft()
             self._hook_decode_consumed()
+            src1 = trace_inst.src1
+            src2 = trace_inst.src2
             # Two-phase dispatch: link every entry's sources before
             # recording any entry's destination.  A pair's duplicate must
             # see the producer table as it was *before* its own pair's
             # write — both copies sit at the same dataflow position.
             for entry in entries:
-                self._link_entry(entry, cycle)
+                ruu.append(entry)
+                stats.dispatched += 1
                 budget -= 1
-            for entry in entries:
-                self._record_entry(entry)
-
-    def _link_entry(self, inst: DynInst, cycle: int) -> None:
-        trace = inst.trace
-        self.ruu.append(inst)
-        self.stats.dispatched += 1
-        tracer = self.tracer
-        if tracer is not NULL_TRACER:
-            tracer.emit(
-                InstEvent(
-                    STAGE_DISPATCH, cycle, trace.seq, trace.pc, trace.opcode,
-                    inst.stream, trace.fu,
-                )
-            )
-        if inst.dec.mem and not inst.stream:
-            self.lsq_count += 1
-            inst.in_lsq = True
-
-        table = self._producers[self._hook_source_stream(inst)]
-        pending = 0
-        reg = trace.src1
-        if reg is not None and reg != 0:
-            producer = table[reg]
-            if producer is not None:
-                producer = self._hook_effective_producer(inst, producer)
-                if (
-                    producer is not None
-                    and not producer.complete
-                    and not producer.squashed
-                ):
-                    pending += 1
-                    producer.consumers.append(inst)
-        reg = trace.src2
-        if reg is not None and reg != 0:
-            producer = table[reg]
-            if producer is not None:
-                producer = self._hook_effective_producer(inst, producer)
-                if (
-                    producer is not None
-                    and not producer.complete
-                    and not producer.squashed
-                ):
-                    pending += 1
-                    producer.consumers.append(inst)
-        if pending:
-            inst.pending = pending
-        else:
-            inst.ready_cycle = cycle + 1
-            self._hook_on_ready(inst, cycle + 1)
-
-    def _record_entry(self, inst: DynInst) -> None:
-        dst = inst.trace.dst
-        if dst is not None and dst != 0:
-            self._producers[inst.stream][dst] = inst
+                if tracing:
+                    tracer.emit(
+                        InstEvent(
+                            STAGE_DISPATCH, cycle, trace_inst.seq, trace_inst.pc,
+                            trace_inst.opcode, entry.stream, trace_inst.fu,
+                        )
+                    )
+                if entry.dec.mem and not entry.stream:
+                    self.lsq_count += 1
+                    entry.in_lsq = True
+                # Register 0 is hardwired: it never waits on a producer.
+                table = producers[source_stream(entry)]
+                pending = 0
+                if src1:
+                    producer = table[src1]
+                    if producer is not None:
+                        producer = effective_producer(entry, producer)
+                        if not producer.complete and not producer.squashed:
+                            pending += 1
+                            producer.consumers.append(entry)
+                if src2:
+                    producer = table[src2]
+                    if producer is not None:
+                        producer = effective_producer(entry, producer)
+                        if not producer.complete and not producer.squashed:
+                            pending += 1
+                            producer.consumers.append(entry)
+                if pending:
+                    entry.pending = pending
+                else:
+                    on_ready(entry, cycle + 1)
+            dst = trace_inst.dst
+            if dst:
+                for entry in entries:
+                    producers[entry.stream][dst] = entry
 
     # ==================================================================
     # Fetch
@@ -661,7 +679,7 @@ class OOOPipeline:
                 mispredicted, predicted_taken = self._predict(inst, dec)
             else:
                 mispredicted = predicted_taken = False
-            decode_q.append((dispatch_at, inst, mispredicted))
+            decode_q.append((dispatch_at, inst))
             stats.fetched += 1
             index += 1
             budget -= 1
@@ -758,12 +776,10 @@ class OOOPipeline:
         for _, __, ___, inst in self._events:
             inst.squashed = True
         self._events = []
-        for _, inst in self._ready:
-            inst.squashed = True
-        for _, inst in self._fu_blocked:
-            inst.squashed = True
-        self._ready = []
-        self._fu_blocked = []
+        for lane in self._lanes:
+            for _, inst in lane:
+                inst.squashed = True
+            lane.clear()
         for inst in self.mem_queue:
             inst.squashed = True
         self.mem_queue.clear()

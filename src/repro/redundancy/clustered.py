@@ -23,7 +23,6 @@ inter-cluster forwarding delay.
 from __future__ import annotations
 
 import heapq
-
 from typing import Dict, Optional
 
 from ..core import MachineConfig
@@ -33,6 +32,9 @@ from ..isa import FUClass
 from ..workloads import Trace
 from .checker import CommitChecker
 from .die import DIEPipeline
+
+
+_CLASSES = len(FUClass)
 
 
 def _half_counts(config: MachineConfig) -> Dict[FUClass, int]:
@@ -64,10 +66,10 @@ class DIEClusteredPipeline(DIEPipeline):
         counts = (
             self.config.fu_counts if variant == "replicated" else _half_counts(self.config)
         )
-        # One FU pool per stream; the shared pool from the base class is
-        # not used for execution any more.
+        # One FU pool and one issue width per stream: the lanes replace
+        # the base class's, which drew on the shared pool.
         self.clusters = (FUPool(dict(counts)), FUPool(dict(counts)))
-        self._cluster_issue_width = max(1, self.config.issue_width // 2)
+        self._lay_out_lanes(self.clusters, max(1, self.config.issue_width // 2))
 
     # ------------------------------------------------------------------
 
@@ -79,69 +81,11 @@ class DIEClusteredPipeline(DIEPipeline):
             return self.intercluster_delay
         return 0
 
-    def _issue(self, cycle: int) -> None:
-        """Per-cluster oldest-first select with per-cluster issue width.
-
-        Same two-way merge as the base class: last cycle's blocked list is
-        already uid-sorted, so it merges with the ready heap instead of
-        being re-heaped every cycle.
-        """
-        ready = self._ready
-        blocked = self._fu_blocked
-        budgets = [self._cluster_issue_width, self._cluster_issue_width]
-        full = self._fu_full
-        if full:
-            full.clear()
-        skipped = []
-        bi = 0
-        bn = len(blocked)
-        while (bi < bn or ready) and (budgets[0] > 0 or budgets[1] > 0):
-            if bi < bn and (not ready or blocked[bi][0] < ready[0][0]):
-                item = blocked[bi]
-                bi += 1
-            else:
-                item = heapq.heappop(ready)
-            inst = item[1]
-            if inst.squashed or inst.issued:
-                continue
-            cluster = inst.stream
-            if budgets[cluster] == 0:
-                skipped.append(item)
-                continue
-            if not self._try_issue_cluster(inst, cycle, cluster):
-                skipped.append(item)
-                continue
-            budgets[cluster] -= 1
-        if bi < bn:
-            skipped.extend(blocked[bi:])
-        self._fu_blocked = skipped
-
-    def _try_issue_cluster(self, inst: DynInst, cycle: int, cluster: int) -> bool:
-        fu = inst.trace.fu
-        if fu is FUClass.NONE:
-            inst.issued = True
-            self._schedule(cycle + 1, "complete", inst)
-            self.stats.issued += 1
-            return True
-        # Per-cycle negative-result memo, keyed by cluster: a failed claim
-        # rules out the same (cluster, class) for the rest of the cycle.
-        full = self._fu_full
-        key = (cluster, fu)
-        if key in full:
-            return False
-        dec = inst.dec
-        timing = dec.dup_timing if inst.stream else dec.timing
-        if not self.clusters[cluster].issue(fu, cycle, timing):
-            full.add(key)
-            return False
-        inst.issued = True
-        self.stats.issued += 1
-        self.stats.count_fu_issue(fu, timing.init_interval)
-        if dec.load and not inst.stream:
-            self._schedule(cycle + 1, "addr_done", inst)
-        else:
-            self._schedule(cycle + timing.latency, "complete", inst)
-        return True
+    def _hook_on_ready(self, inst: DynInst, cycle: int) -> None:
+        # A stream always issues to its own cluster.
+        heapq.heappush(
+            self._lanes[inst.stream * _CLASSES + inst.trace.fu], (inst.uid, inst)
+        )
 
 
 class DIEClusterSplitPipeline(DIEClusteredPipeline):

@@ -45,11 +45,9 @@ class DIEPipeline(OOOPipeline):
 
     # ------------------------------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst, mispredicted: bool) -> List[DynInst]:
+    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
         primary = DynInst(inst, PRIMARY)
         duplicate = DynInst(inst, DUPLICATE)
-        primary.mispredicted = mispredicted
-        duplicate.mispredicted = mispredicted
         primary.pair = duplicate
         duplicate.pair = primary
         return [primary, duplicate]
@@ -59,11 +57,7 @@ class DIEPipeline(OOOPipeline):
         # once.  A duplicate consuming a loaded value therefore waits for
         # the (single) data return — the primary load — not for the
         # duplicate load, which only computes the address.
-        if (
-            inst.is_duplicate
-            and producer.is_duplicate
-            and producer.dec.load
-        ):
+        if inst.stream and producer.stream and producer.dec.load:
             assert producer.pair is not None  # every DIE entry is paired
             return producer.pair
         return producer

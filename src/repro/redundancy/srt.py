@@ -135,7 +135,7 @@ class SRTPipeline(OOOPipeline):
                 mispredicted, predicted_taken = self._predict(inst, dec)
             else:
                 mispredicted = predicted_taken = False
-            self.decode_q.append((dispatch_at, inst, mispredicted))
+            self.decode_q.append((dispatch_at, inst))
             self._decode_streams.append(LEADING)
             self.stats.fetched += 1
             index += 1
@@ -162,7 +162,7 @@ class SRTPipeline(OOOPipeline):
             # Branch outcomes come from the queue: no prediction, no
             # misfetch, and no I-cache charge (the line is resident from
             # the leader's pass).
-            self.decode_q.append((dispatch_at, inst, False))
+            self.decode_q.append((dispatch_at, inst))
             self._decode_streams.append(TRAILING)
             index += 1
             budget -= 1
@@ -174,13 +174,10 @@ class SRTPipeline(OOOPipeline):
     # Dispatch: entries carry their context's stream
     # ==================================================================
 
-    def _hook_make_entries(self, inst: TraceInst, mispredicted: bool) -> List[DynInst]:
+    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
         # Peek: dispatch may still reject this entry (RUU/LSQ full); the
         # tag is consumed in _hook_decode_consumed once it is accepted.
-        stream = self._decode_streams[0]
-        entry = DynInst(inst, stream)
-        entry.mispredicted = mispredicted
-        return [entry]
+        return [DynInst(inst, self._decode_streams[0])]
 
     def _hook_decode_consumed(self) -> None:
         self._decode_streams.pop(0)

@@ -69,8 +69,8 @@ class DIEIRBPipeline(DIEPipeline):
     # Fetch-side: pipelined IRB lookup
     # ------------------------------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst, mispredicted: bool) -> List[DynInst]:
-        entries = super()._hook_make_entries(inst, mispredicted)
+    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
+        entries = super()._hook_make_entries(inst)
         if self.irb.config.name_based:
             # Capture operand names at rename time — versions seen at the
             # instruction's own dispatch.  Comparing two instances'
@@ -86,7 +86,7 @@ class DIEIRBPipeline(DIEPipeline):
             self._probe(entries[1])
         return entries
 
-    def _hook_dispatch_blocked(self, inst: TraceInst, mispredicted: bool) -> None:
+    def _hook_dispatch_blocked(self, inst: TraceInst) -> None:
         # Exactly the side effects _hook_make_entries has beyond building
         # the (discarded) pair: the name-version bump and the IRB probe —
         # the probe moves port accounting and statistics per dispatch
@@ -144,7 +144,7 @@ class DIEIRBPipeline(DIEPipeline):
 
     def _hook_on_ready(self, inst: DynInst, cycle: int) -> None:
         entry = inst.irb_entry
-        if inst.is_duplicate and entry is not None:
+        if inst.stream and entry is not None:
             if cycle < inst.irb_ready_cycle:
                 # Operands beat the pipelined lookup; retest when it lands.
                 self._schedule(inst.irb_ready_cycle, "reready", inst)
@@ -193,7 +193,9 @@ class DIEIRBPipeline(DIEPipeline):
                     op1, op2 = inst.name_ops
                 else:
                     op1, op2 = trace.src1_val, trace.src2_val
-                self.irb.enqueue_write(trace.pc, op1, op2, self._reusable_result(inst))
+                # What the IRB stores: address for mem ops, outcome otherwise.
+                result = trace.mem_addr if inst.dec.mem else trace.result
+                self.irb.enqueue_write(trace.pc, op1, op2, result)
                 if tracer is not NULL_TRACER:
                     tracer.emit(
                         IRBEvent(IRB_WRITE, self.cycle, trace.pc, trace.opcode)
@@ -205,15 +207,10 @@ class DIEIRBPipeline(DIEPipeline):
         op2 = (trace.src2, versions[trace.src2]) if trace.src2 is not None else None
         return op1, op2
 
-    @staticmethod
-    def _reusable_result(inst: DynInst) -> object:
-        """What the IRB stores: address for mem ops, outcome otherwise."""
-        if inst.trace.is_mem:
-            return inst.trace.mem_addr
-        return inst.trace.result
-
     def _hook_tick(self) -> None:
-        self.irb.drain(self.ports, self.cycle)
+        irb = self.irb
+        if irb.write_q:
+            irb.drain(self.ports, self.cycle)
 
     # ------------------------------------------------------------------
 

@@ -91,7 +91,9 @@ class IRB:
         self.config = config if config is not None else IRBConfig()
         self._sets: List[List[IRBEntry]] = [[] for _ in range(self.config.sets)]
         self._set_mask = self.config.sets - 1
-        self._write_q: Deque[Tuple[int, object, object, object]] = deque()
+        # Pending commit-time installs (the pipelines skip ``drain`` while
+        # it is empty).
+        self.write_q: Deque[Tuple[int, object, object, object]] = deque()
         self.stats = IRBStats()
         self._ctr_max = (1 << self.config.ctr_bits) - 1
         # Register versions for the name-based reuse test.
@@ -125,16 +127,16 @@ class IRB:
 
     def enqueue_write(self, pc: int, op1: object, op2: object, result: object) -> None:
         """Queue an install; drops the oldest pending write on overflow."""
-        if len(self._write_q) >= self.config.write_queue_depth:
-            self._write_q.popleft()
+        if len(self.write_q) >= self.config.write_queue_depth:
+            self.write_q.popleft()
             self.stats.write_drops += 1
-        self._write_q.append((pc, op1, op2, result))
+        self.write_q.append((pc, op1, op2, result))
 
     def drain(self, ports: PortArbiter, cycle: int) -> int:
         """Perform queued installs through available write ports."""
         done = 0
-        while self._write_q and ports.try_write(cycle):
-            pc, op1, op2, result = self._write_q.popleft()
+        while self.write_q and ports.try_write(cycle):
+            pc, op1, op2, result = self.write_q.popleft()
             self._install(pc, op1, op2, result)
             done += 1
         return done

@@ -11,12 +11,13 @@ only modestly (it is not ALU-bound) is reproducible with this model.
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional
 
 from ..core import MachineConfig, OOOPipeline, SimStats
 from ..core.decoded import OP_META
 from ..core.dyninst import DynInst
-from ..isa import TraceInst
+from ..isa import FUClass, TraceInst
 from ..telemetry.events import (
     IRB_LOOKUP,
     IRB_PC_HIT,
@@ -56,8 +57,8 @@ class SIEIRBPipeline(OOOPipeline):
 
     # ------------------------------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst, mispredicted: bool) -> List[DynInst]:
-        entries = super()._hook_make_entries(inst, mispredicted)
+    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
+        entries = super()._hook_make_entries(inst)
         if entries[0].dec.reusable:
             entry = self._probe_pc(inst.pc, inst.opcode)
             if entry is not None:
@@ -65,7 +66,7 @@ class SIEIRBPipeline(OOOPipeline):
                 entries[0].irb_ready_cycle = self.cycle + self._lookup_residual
         return entries
 
-    def _hook_dispatch_blocked(self, inst: TraceInst, mispredicted: bool) -> None:
+    def _hook_dispatch_blocked(self, inst: TraceInst) -> None:
         # A rejected dispatch attempt still probes the IRB (stats and
         # port accounting), exactly as the discarded construction did.
         if OP_META[inst.opcode].reusable:
@@ -112,11 +113,17 @@ class SIEIRBPipeline(OOOPipeline):
                     tracer.emit(
                         IRBEvent(IRB_REUSE_HIT, cycle, trace.pc, trace.opcode)
                     )
-        super()._hook_on_ready(inst, cycle)
+        if inst.reuse_hit:
+            # No FU needed: the hit waits in the NONE lane.
+            heapq.heappush(self._lanes[FUClass.NONE], (inst.uid, inst))
+        else:
+            super()._hook_on_ready(inst, cycle)
 
-    def _try_issue(self, inst: DynInst, cycle: int) -> bool:
+    def _try_issue(
+        self, inst: DynInst, cycle: int, units: Optional[List[int]]
+    ) -> bool:
         if not inst.reuse_hit:
-            return super()._try_issue(inst, cycle)
+            return super()._try_issue(inst, cycle, units)
         # Reuse hit: consumes an issue slot but no ALU.
         inst.issued = True
         self.stats.issued += 1
@@ -144,7 +151,9 @@ class SIEIRBPipeline(OOOPipeline):
                     )
 
     def _hook_tick(self) -> None:
-        self.irb.drain(self.ports, self.cycle)
+        irb = self.irb
+        if irb.write_q:
+            irb.drain(self.ports, self.cycle)
 
     def run(self, max_cycles: Optional[int] = None) -> SimStats:
         stats = super().run(max_cycles)

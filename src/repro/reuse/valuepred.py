@@ -135,8 +135,8 @@ class DIEVPPipeline(DIEPipeline):
 
     # -- prediction at dispatch ------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst, mispredicted: bool) -> List[DynInst]:
-        entries = super()._hook_make_entries(inst, mispredicted)
+    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
+        entries = super()._hook_make_entries(inst)
         if entries[0].dec.reusable:
             self.stats.irb_lookups += 1
             ahead = self._inflight.get(inst.pc, 0) + 1
@@ -149,11 +149,11 @@ class DIEVPPipeline(DIEPipeline):
                 self._speculating[duplicate.uid] = predicted
         return entries
 
-    def _hook_dispatch_blocked(self, inst: TraceInst, mispredicted: bool) -> None:
+    def _hook_dispatch_blocked(self, inst: TraceInst) -> None:
         # The VP probe mutates predictor counters and in-flight state per
         # dispatch *attempt*; build-and-discard reproduces those effects
         # verbatim (this model is not on the benchmark's hot path).
-        self._hook_make_entries(inst, mispredicted)
+        self._hook_make_entries(inst)
 
     def _hook_source_stream(self, inst: DynInst) -> int:
         # As in DIE-IRB: primary results wake both streams, so a failed
@@ -189,7 +189,6 @@ class DIEVPPipeline(DIEPipeline):
             # uncounted here — the duplicate re-enters the ALU path and is
             # accounted by the ordinary issue/complete counters.
             duplicate.issued = False  # simlint: disable=SL102
-            duplicate.ready_cycle = cycle
             self._hook_on_ready(duplicate, cycle)
 
     # -- training at commit ----------------------------------------------

@@ -33,7 +33,7 @@ class TestDuplication:
     def test_pair_links_are_mutual(self):
         trace = straightline([addi(R1, 0, 1)])
         pipeline = DIEPipeline(trace)
-        entries = pipeline._hook_make_entries(trace[0], False)
+        entries = pipeline._hook_make_entries(trace[0])
         primary, duplicate = entries
         assert primary.pair is duplicate and duplicate.pair is primary
         assert primary.stream == PRIMARY and duplicate.stream == DUPLICATE

@@ -69,7 +69,7 @@ class TestComplexityEffectiveProperties:
     def test_duplicates_wake_from_primary_producers(self):
         trace = repetitive_trace()
         pipeline = DIEIRBPipeline(trace)
-        entries = pipeline._hook_make_entries(trace[2], False)
+        entries = pipeline._hook_make_entries(trace[2])
         for entry in entries:
             assert pipeline._hook_source_stream(entry) == PRIMARY
 

@@ -10,7 +10,7 @@ def drain_all(irb):
     """Drain the write queue with unlimited ports."""
     ports = PortArbiter(read_ports=0, write_ports=64, rw_ports=0)
     cycle = 0
-    while irb._write_q:
+    while irb.write_q:
         irb.drain(ports, cycle)
         cycle += 1
 

@@ -27,8 +27,7 @@ class TestSquashState:
         pipeline.squash_and_refetch(0)
         assert not pipeline.ruu
         assert not pipeline.decode_q
-        assert not pipeline._ready
-        assert not pipeline._fu_blocked
+        assert not any(pipeline._lanes)
         assert not pipeline.mem_queue
         assert pipeline.lsq_count == 0
         assert pipeline.fetch_index == 0
