@@ -5,7 +5,7 @@ Times the F2 baseline cell set (the twelve SPEC-like apps on
 ``results/BENCH_core.json``::
 
     python benchmarks/bench_core.py [--n INSTS] [--apps a,b] [--repeats K]
-        [--baseline-src DIR] [--min-seed-speedup X] [--check [--tolerance PCT]]
+        [--baseline-src DIR] [--check [--tolerance PCT]]
 
 * ``fast`` — this tree: the shipping core with its decoded-trace cache.
   ``insts_per_s`` gives, per model, simulated instructions per host
@@ -16,16 +16,17 @@ Times the F2 baseline cell set (the twelve SPEC-like apps on
   ``PYTHONPATH`` pointing at that tree.  ``speedup_vs_seed`` (seed wall
   over fast wall) is the end-to-end claim.
 
-Noise controls follow ``bench_telemetry.py``: configurations interleave
-within each repeat, each cell keeps its minimum across repeats, and the
-timed region runs with the GC collected-then-disabled.
+Noise controls follow ``bench_telemetry.py``: the two trees interleave
+within each repeat and alternate which runs first (as ``e2ebench`` pairs
+its runs), so host drift lands on both alike; each cell keeps its
+minimum across repeats, and the timed region runs with the GC
+collected-then-disabled.
 
 ``--check`` re-reads the committed ``results/BENCH_core.json`` first and
 exits non-zero if the measured ``speedup_vs_seed`` regressed more than
 ``--tolerance`` percent below the committed value (the CI perf-smoke
 gate), and fails without ``--baseline-src``; it does not overwrite the
-committed file.  ``REPRO_BENCH_N`` / ``REPRO_BENCH_APPS`` are honoured as
-defaults, like the other benchmarks.
+committed file.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.simulation import get_trace, simulate
 
@@ -95,14 +96,6 @@ def seed_pass(
     return json.loads(proc.stdout)["times"]
 
 
-def _merge_minima(
-    minima: Optional[List[float]], times: List[float]
-) -> List[float]:
-    if minima is None:
-        return times
-    return [min(a, b) for a, b in zip(minima, times)]
-
-
 def _cells_payload(
     apps: Sequence[str], times: List[float], n_insts: int
 ) -> Dict[str, object]:
@@ -148,18 +141,12 @@ def check_payload(
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--n", type=int, default=int(os.environ.get("REPRO_BENCH_N", 8_000))
-    )
-    parser.add_argument("--apps", default=os.environ.get("REPRO_BENCH_APPS"))
+    parser.add_argument("--n", type=int, default=8_000)
+    parser.add_argument("--apps", default=None)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--baseline-src", default=None, metavar="DIR",
         help="src/ directory of an older checkout to race against",
-    )
-    parser.add_argument(
-        "--min-seed-speedup", type=float, default=None, metavar="X",
-        help="fail unless speedup_vs_seed >= X (requires --baseline-src)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -183,15 +170,19 @@ def main() -> int:
         print(json.dumps({"times": one_pass(apps, args.n)}))
         return 0
 
-    fast_min: Optional[List[float]] = None
-    seed_min: Optional[List[float]] = None
-    for _ in range(args.repeats):
-        fast_min = _merge_minima(fast_min, one_pass(apps, args.n))
-        if args.baseline_src:
-            seed_min = _merge_minima(
-                seed_min, seed_pass(args.baseline_src, apps, args.n)
-            )
-    assert fast_min is not None
+    passes = {"fast": lambda: one_pass(apps, args.n)}
+    if args.baseline_src:
+        passes["seed"] = lambda: seed_pass(args.baseline_src, apps, args.n)
+    runs: Dict[str, List[List[float]]] = {name: [] for name in passes}
+    for repeat in range(args.repeats):
+        # Alternate which tree runs first, so drift lands on both alike.
+        order = list(passes)
+        for name in order[::-1] if repeat % 2 else order:
+            runs[name].append(passes[name]())
+    minima = {
+        name: [min(cell) for cell in zip(*times)] for name, times in runs.items()
+    }
+    fast_min, seed_min = minima["fast"], minima.get("seed")
 
     fast = _cells_payload(apps, fast_min, args.n)
     payload: Dict[str, object] = {
@@ -226,17 +217,6 @@ def main() -> int:
         out_path = RESULTS_DIR / RESULT_NAME
         out_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"\nwritten to {out_path}")
-    if args.min_seed_speedup is not None:
-        measured = payload.get("speedup_vs_seed")
-        if not isinstance(measured, (int, float)):
-            print("ERROR: --min-seed-speedup given without --baseline-src")
-            failed = True
-        elif measured < args.min_seed_speedup:
-            print(
-                f"ERROR: speedup vs seed {measured:.3f} < required "
-                f"{args.min_seed_speedup}"
-            )
-            failed = True
     return 1 if failed else 0
 
 

@@ -13,9 +13,6 @@ stage, so the tracing-off overhead versus the measurement noise floor
 (off vs off across repeats) must stay under ``--budget-pct`` (default
 3%).  The aggregation/recording passes are reported for scale but not
 gated — they do real work.
-
-``REPRO_BENCH_N`` / ``REPRO_BENCH_APPS`` are honoured as defaults, like
-the other benchmarks.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -94,10 +90,8 @@ def timed_passes(
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--n", type=int, default=int(os.environ.get("REPRO_BENCH_N", 20_000))
-    )
-    parser.add_argument("--apps", default=os.environ.get("REPRO_BENCH_APPS"))
+    parser.add_argument("--n", type=int, default=20_000)
+    parser.add_argument("--apps", default=None)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--budget-pct", type=float, default=3.0,

@@ -35,7 +35,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -193,22 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pdiff.add_argument(
         "--json", action="store_true", help="emit the comparison as JSON"
     )
-
-    bench = sub.add_parser(
-        "bench",
-        help="core speed vs an older tree (results/BENCH_core.json; source tree only)",
-    )
-    bench.add_argument("--n", type=int, default=None, help="instructions per run")
-    bench.add_argument("--apps", default=None, help="comma-separated subset")
-    bench.add_argument("--repeats", type=int, default=None)
-    bench.add_argument("--baseline-src", default=None, metavar="DIR",
-                       help="src/ of an older checkout to race against")
-    bench.add_argument("--min-seed-speedup", type=float, default=None,
-                       metavar="X", help="fail unless speedup vs seed >= X")
-    bench.add_argument("--check", action="store_true",
-                       help="gate against committed results, do not overwrite")
-    bench.add_argument("--tolerance", type=float, default=None, metavar="PCT",
-                       help="allowed regression below the committed speedup vs seed")
 
     camp = sub.add_parser(
         "campaign",
@@ -638,38 +621,6 @@ def _experiment_kwargs(args: argparse.Namespace) -> dict:
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     return kwargs
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the core-speed benchmark from a source checkout.
-
-    The benchmark script lives in ``benchmarks/`` (outside the package:
-    it measures wall-clock, which simlint bans from the simulator), so
-    this command only works from the repository tree.
-    """
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_core.py"
-    if not script.is_file():
-        print(
-            "repro bench needs the source tree (benchmarks/bench_core.py "
-            "not found next to this package)",
-            file=sys.stderr,
-        )
-        return 2
-    command = [sys.executable, str(script)]
-    for flag in ("n", "apps", "repeats", "baseline_src", "min_seed_speedup",
-                 "tolerance"):
-        value = getattr(args, flag)
-        if value is not None:
-            command += [f"--{flag.replace('_', '-')}", str(value)]
-    if args.check:
-        command.append("--check")
-    import subprocess
-
-    env = dict(os.environ)
-    src_root = str(Path(__file__).resolve().parents[1])
-    path = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root + (os.pathsep + path if path else "")
-    return subprocess.call(command, env=env)
 
 
 def _open_store(store_dir: Optional[str], backend: str = "dir") -> Optional[ResultStore]:
@@ -1116,8 +1067,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "campaign":
         return _cmd_campaign(args)
     if args.command == "serve":

@@ -488,16 +488,21 @@ class OOOPipeline:
         """Issue ``inst`` on a free unit of ``units``; False if all busy.
 
         ``units`` is the busy-until list of the lane's pool (``None``:
-        the entry needs no functional unit).  The claim is
+        the entry needs no functional unit — a NOP, or an SIE-IRB reuse
+        hit, which takes an issue slot but no unit).  The claim is
         :meth:`FUPool.issue`'s rule, inlined: take the least busy unit.
         """
         trace = inst.trace
         fu = trace.fu
         stats = self.stats
         if units is None:
+            fu = FUClass.NONE
             inst.issued = True
-            heapq.heappush(self._events, (cycle + 1, inst.uid, "complete", inst))
             stats.issued += 1
+            # A reused load skips only its address calculation; the
+            # access still proceeds.
+            kind = "addr_done" if inst.dec.load else "complete"
+            heapq.heappush(self._events, (cycle + 1, inst.uid, kind, inst))
         else:
             if not units:
                 return False

@@ -119,21 +119,6 @@ class SIEIRBPipeline(OOOPipeline):
         else:
             super()._hook_on_ready(inst, cycle)
 
-    def _try_issue(
-        self, inst: DynInst, cycle: int, units: Optional[List[int]]
-    ) -> bool:
-        if not inst.reuse_hit:
-            return super()._try_issue(inst, cycle, units)
-        # Reuse hit: consumes an issue slot but no ALU.
-        inst.issued = True
-        self.stats.issued += 1
-        if inst.dec.load:
-            # Only the address calculation is reused; the access proceeds.
-            self._schedule(cycle + 1, "addr_done", inst)
-        else:
-            self._schedule(cycle + 1, "complete", inst)
-        return True
-
     # ------------------------------------------------------------------
 
     def _hook_post_commit(self, insts: List[DynInst]) -> None:

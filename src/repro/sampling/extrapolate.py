@@ -272,7 +272,8 @@ def _carve_site(
                 stats.dispatched += 1
             elif kind == "issue":
                 stats.issued += 1
-                stats.fu_issued[fu] = stats.fu_issued.get(fu, 0) + 1
+                if fu is not FUClass.NONE:  # counted per unit, as in a full run
+                    stats.fu_issued[fu] = stats.fu_issued.get(fu, 0) + 1
         for seq, ok in tracer.checks:
             if first <= seq <= last:
                 stats.pairs_checked += 1

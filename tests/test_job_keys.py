@@ -42,13 +42,13 @@ PINNED_JOBS: Dict[str, Job] = {
 
 PINS: Dict[str, str] = {
     "sie/gzip":
-        "731af6ea82ed67dcd715371a3798069af63980039cd7d1ddb9f0c52604f6be85",
+        "8de1ddb4ee19597c0a150c73b4fa555deae3cc47ea7bc2ca8da6db53279f7d49",
     "die-irb/gzip/irb-512x2-ctr":
-        "1bf588ec45779a78af5e992d78e5d5582cea0744e34ed40535983dca286686f2",
+        "0a9286e6624d2ff5e65073c3d8a4d986317692988092685f906a8c42e09e127e",
     "die/art/DIE-2xALU":
-        "aa5828886bccf5444a2ee58bcdfeee4108e95280ea07922bedb8c75c40d2bd90",
+        "45c75bfb4c078bc635d4358f676b731c117c32eb42b3c28d98d1aef629630edc",
     "die-irb/ammp/sampled":
-        "e125c7831786f0c0df1dc660bce5c6ef99f4903f9e0ff69682b3e21015d1b494",
+        "3523acc5fa31362d45cb6fa5c719e442f6fe12aec06d94446eaa8c04b7b0dda3",
 }
 
 

@@ -7,7 +7,7 @@ separation between sampled and full runs, the exact-extrapolation policy
 the faults x sampling mutual exclusion, campaign integration (ambient
 plan, warm re-runs from the store) and the ``sample report`` CLI
 artifact.  Accuracy at scale is gated separately by
-``benchmarks/bench_sampling.py`` and the CI ``sample-smoke`` job.
+``repro sample validate`` (the CI ``sample-smoke`` job runs it).
 """
 
 from __future__ import annotations
@@ -121,11 +121,15 @@ class TestExtrapolationPolicy:
             selection = select_regions(get_trace(app, N), plan)
             assert selection.coverage <= plan.budget + 1e-9
 
-    def test_sampled_ipc_close_to_full(self):
+    @pytest.mark.parametrize("model", ["die-irb", "sie-irb"])
+    def test_sampled_ipc_close_to_full(self, model):
         trace = get_trace("gzip", 20_000)
-        full = simulate(trace, model="die-irb")
-        sampled = run_sampled(trace, SamplingPlan(), model="die-irb")
+        full = simulate(trace, model=model)
+        sampled = run_sampled(trace, SamplingPlan(), model=model)
         assert abs(sampled.ipc - full.ipc) / full.ipc < 0.06
+        # Issue counts are binned from issue events, reuse hits included.
+        issued = full.stats.issued
+        assert abs(sampled.stats.issued - issued) / issued < 0.06
 
     def test_full_budget_reconstruction_invariant(self):
         """The fuzz invariant's exact check, on a real trace: at

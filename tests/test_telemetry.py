@@ -14,7 +14,7 @@ import pytest
 from repro.campaign import Job, ResultStore
 from repro.cli import main
 from repro.isa import FUClass
-from repro.simulation import run_workload
+from repro.simulation import MODELS, run_workload
 from repro.telemetry import (
     CheckEvent,
     CycleEvent,
@@ -139,6 +139,17 @@ class TestEventStream:
         for stage in (STAGE_FETCH, STAGE_DISPATCH, STAGE_ISSUE,
                       STAGE_COMPLETE, STAGE_COMMIT):
             assert stage in kinds
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_one_issue_event_per_issued_entry(self, model):
+        """Sampled ``issued`` is binned from these events, so every issue
+        (an SIE-IRB reuse hit included) must emit exactly one."""
+        result, recorder, _ = traced_run(model, n=500)
+        issues = [
+            e for e in recorder.events
+            if isinstance(e, InstEvent) and e.kind == STAGE_ISSUE
+        ]
+        assert len(issues) == result.stats.issued
 
     def test_one_cycle_event_per_cycle(self, die_irb_run):
         result, recorder, _ = die_irb_run
