@@ -17,7 +17,7 @@ Public surface:
 * :mod:`repro.core` — the out-of-order core (SIE) and its configuration.
 * :mod:`repro.redundancy` — DIE, the commit checker, fault injection.
 * :mod:`repro.reuse` — the IRB, DIE-IRB and the SIE-IRB baseline.
-* :mod:`repro.simulation` — runners, sweeps, metrics, reporting.
+* :mod:`repro.simulation` — runners, metrics, reporting.
 * :mod:`repro.experiments` — one module per paper table/figure.
 """
 

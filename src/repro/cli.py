@@ -43,62 +43,23 @@ from .campaign import DEFAULT_ROOT, ProgressPrinter, ResultStore, campaign_conte
 from .core import MachineConfig
 from .experiments import EXPERIMENTS, get_experiment
 from .isa import FUClass
-from .sampling.plan import SamplingPlan
+from .sampling.plan import DEFAULT_CHUNK, DEFAULT_INTERVAL, SamplingPlan
 from .simulation import MODELS, format_table, ipc_loss_pct, run_workload
 from .workloads import APP_NAMES
 
 
-def _add_sampling_args(
-    parser: argparse.ArgumentParser, toggle: bool = True
-) -> None:
-    """Install the sampled-simulation flags (defaults = plan defaults)."""
-    defaults = SamplingPlan()
-    group = parser.add_argument_group("sampled simulation (docs/SAMPLING.md)")
-    if toggle:
-        group.add_argument(
-            "--sample", action="store_true",
-            help="cycle-simulate selected regions only and extrapolate",
-        )
-    group.add_argument(
-        "--interval", type=int, default=defaults.interval, metavar="INSTS",
-        help=f"profiling interval length (default {defaults.interval})",
-    )
-    group.add_argument(
-        "--chunk", type=int, default=defaults.chunk, metavar="N",
-        help=f"measured intervals per chunk site (default {defaults.chunk})",
-    )
-    group.add_argument(
-        "--k", type=int, default=defaults.k, metavar="K",
-        help="fixed cluster count (default 0 = BIC choice + weight ensemble)",
-    )
-    group.add_argument(
-        "--warmup", type=int, default=defaults.warmup, metavar="INSTS",
-        help="functional warmup instructions before each site "
-             "(-1 = warm over the whole preceding trace, the default)",
-    )
-    group.add_argument(
-        "--budget", type=float, default=defaults.budget, metavar="FRAC",
-        help="max fraction of instructions cycle-simulated "
-             f"(default {defaults.budget})",
-    )
-    group.add_argument(
-        "--sample-seed", type=int, default=defaults.seed, metavar="SEED",
-        help=f"selection seed: projection, clustering (default {defaults.seed})",
+def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
+    """Install the ``--sample`` switch (the default sampling plan)."""
+    parser.add_argument(
+        "--sample", action="store_true",
+        help="cycle-simulate selected regions only and extrapolate "
+             "(docs/SAMPLING.md)",
     )
 
 
 def _sampling_plan(args: argparse.Namespace) -> Optional[SamplingPlan]:
-    """The plan the flags describe, or ``None`` when ``--sample`` is off."""
-    if not getattr(args, "sample", True):
-        return None
-    return SamplingPlan(
-        interval=args.interval,
-        chunk=args.chunk,
-        k=args.k,
-        warmup=args.warmup,
-        budget=args.budget,
-        seed=args.sample_seed,
-    )
+    """The default plan when ``--sample`` is given, else ``None``."""
+    return SamplingPlan() if args.sample else None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sreport.add_argument("--n", type=int, default=40_000,
                          help="dynamic instructions")
     sreport.add_argument("--seed", type=int, default=1)
-    _add_sampling_args(sreport, toggle=False)
     sreport.add_argument(
         "--json", action="store_true",
         help="emit the full selection (the phase-map artifact) as JSON",
@@ -282,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     svalidate.add_argument("--n", type=int, default=40_000,
                            help="dynamic instructions per run")
     svalidate.add_argument("--seed", type=int, default=1)
-    _add_sampling_args(svalidate, toggle=False)
     svalidate.add_argument(
         "--max-geomean", type=float, default=0.03, metavar="FRAC",
         help="per-model geomean IPC error gate (default 0.03)",
@@ -654,8 +613,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     plan = _sampling_plan(args)
     if plan is not None:
         print(
-            f"sampling: interval={plan.interval} chunk={plan.chunk} "
-            f"k={plan.k or 'auto'} budget={plan.budget:.0%}",
+            f"sampling: interval={DEFAULT_INTERVAL} chunk={DEFAULT_CHUNK} "
+            f"budget={plan.budget:.0%}",
             file=sys.stderr,
         )
     with campaign_context(
@@ -774,7 +733,7 @@ def _cmd_sample_report(args: argparse.Namespace) -> int:
     from .sampling import select_regions
     from .simulation import get_trace
 
-    plan = _sampling_plan(args)
+    plan = SamplingPlan()
     trace = get_trace(args.workload, args.n, args.seed)
     selection = select_regions(trace, plan)
     phases = len(set(selection.phase_of))
@@ -849,20 +808,22 @@ def _cmd_sample_validate(args: argparse.Namespace) -> int:
     from .sampling import geomean_ipc_error, measure_errors
 
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    unknown = [m for m in models if m not in MODELS]
-    if unknown:
-        print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
-        return 2
     apps = (
         [a.strip() for a in args.apps.split(",") if a.strip()]
-        if args.apps
+        if args.apps is not None
         else list(APP_NAMES)
     )
-    unknown = [a for a in apps if a not in APP_NAMES]
-    if unknown:
-        print(f"unknown workloads: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    plan = _sampling_plan(args)
+    for kind, names, known in (
+        ("models", models, MODELS), ("workloads", apps, APP_NAMES)
+    ):
+        if not names:
+            print(f"no {kind} given", file=sys.stderr)
+            return 2
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            print(f"unknown {kind}: {', '.join(unknown)}", file=sys.stderr)
+            return 2
+    plan = SamplingPlan()
     store: Optional[ResultStore] = None
     if not args.no_store:
         store = ResultStore(Path(args.store_dir) if args.store_dir else None)

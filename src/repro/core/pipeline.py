@@ -224,27 +224,18 @@ class OOOPipeline:
     # Warmup
     # ==================================================================
 
-    def warm_up(self, insts: Optional[Sequence[TraceInst]] = None) -> None:
+    def warm_up(self) -> None:
         """Functional warmup: train caches, predictor and BTB, no timing.
 
         The paper simulates SimPoint regions of long-running binaries, so
         its structures are warm; our traces are short, and cold-start
-        misses would otherwise dominate.  This replays PCs, memory
-        addresses and branch outcomes through the stateful structures
-        (no timing), then zeroes their statistics.  Call before
-        :meth:`run`.
-
-        By default the pipeline's own trace is replayed through the
-        decoded-trace fast path.  Sampled simulation
-        (``repro.sampling``) instead passes ``insts`` — the parent
-        trace's warmup window plus the region itself — which takes the
-        generic path below (per-instruction ``OP_META`` lookups; warmup
-        is not a hot loop).  Cold-range filtering always uses this
-        pipeline's trace, whose ranges region slices inherit verbatim.
+        misses would otherwise dominate.  This replays the pipeline's own
+        trace (PCs, memory addresses and branch outcomes) through the
+        stateful structures via the decoded-trace fast path, then zeroes
+        their statistics.  Call before :meth:`run`.  Sampled simulation
+        warms its site pipelines through ``repro.sampling``'s own walker
+        instead.
         """
-        if insts is not None:
-            self._warm_up_insts(insts)
-            return
         hier = self.hier
         decoded = self._decoded
         dec_ops = decoded.ops
@@ -274,37 +265,6 @@ class OOOPipeline:
         hier.reset_stats()
         self.predictor.reset_stats()
         self.btb.reset_stats()
-
-    def _warm_up_insts(self, insts: Sequence[TraceInst]) -> None:
-        """Generic warmup over an arbitrary instruction window."""
-        hier = self.hier
-        predictor = self.predictor
-        btb = self.btb
-        op_meta = OP_META
-        line_bytes = self._line_bytes
-        is_cold = self.trace.is_cold
-        last_block = None
-        for inst in insts:
-            block = inst.pc // line_bytes
-            if block != last_block:
-                hier.fetch(inst.pc, 0)
-                last_block = block
-            dec = op_meta[inst.opcode]
-            if dec.mem and not is_cold(inst.mem_addr):
-                if dec.load:
-                    hier.load(inst.mem_addr, 0)
-                else:
-                    hier.store(inst.mem_addr, 0)
-            if dec.cond_branch:
-                predicted = predictor.predict(inst.pc)
-                predictor.update(inst.pc, inst.taken, predicted)
-                if inst.taken:
-                    btb.update(inst.pc, inst.next_pc)
-            elif dec.branch and not dec.is_ret:
-                btb.update(inst.pc, inst.next_pc)
-        hier.reset_stats()
-        predictor.reset_stats()
-        btb.reset_stats()
 
     # ==================================================================
     # Main loop

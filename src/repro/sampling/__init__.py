@@ -18,7 +18,7 @@ The SimPoint-style pipeline, end to end:
    windows and reconstructs whole-program statistics.
 6. :mod:`.errors` quantifies the result against full simulation.
 
-A :class:`~.plan.SamplingPlan` parameterizes steps 1-4 by value and is
+A :class:`~.plan.SamplingPlan` (the instruction budget of step 4) is
 hashed into campaign content keys, so sampled results are
 store-addressable and can never collide with full runs.
 """
@@ -42,14 +42,7 @@ from .extrapolate import (
 from .kmeans import Clustering, kmeans, select_k
 from .plan import SamplingPlan
 from .proxies import interval_proxies
-from .regions import (
-    Region,
-    RegionSelection,
-    Site,
-    select_regions,
-    site_trace,
-    warmup_insts,
-)
+from .regions import Region, RegionSelection, Site, select_regions, site_trace
 
 __all__ = [
     "BBVInterval",
@@ -77,5 +70,4 @@ __all__ = [
     "select_k",
     "select_regions",
     "site_trace",
-    "warmup_insts",
 ]

@@ -69,14 +69,7 @@ from ..telemetry.events import (
 )
 from ..workloads import Trace
 from .plan import SamplingPlan
-from .regions import (
-    Region,
-    RegionSelection,
-    Site,
-    select_regions,
-    site_trace,
-    warmup_insts,
-)
+from .regions import Region, RegionSelection, Site, select_regions, site_trace
 
 #: SimStats counters that are *sampled-only*: they stay zero in an
 #: extrapolated result because scaling them is not meaningful (see the
@@ -132,15 +125,17 @@ class WindowTracer(Tracer):
 class _WarmWalker:
     """Incremental full-plus-prefix warmup shared across a run's sites.
 
-    The plan's default warmup (``warmup == -1``) trains each site's
-    structures on the full trace followed by the prefix up to the site.
-    Replaying that from scratch per site costs ``sites * O(trace)``
-    functional work; this walker replays the full lap once, then walks
-    the prefix forward site by site (sites are processed in trace
-    order), handing each pipeline a deep copy of the state.  The
-    training-op sequence each site observes is identical to the
-    monolithic replay — including cache-line-boundary continuity across
-    segments — so the measurements are bit-identical.
+    Sampled warmup trains each site's structures on the full trace
+    followed by the prefix up to the site — the same history a full
+    run's structures have seen when they reach that point (the
+    full-trace lap mirrors the full run's own warm-up, which replays the
+    entire trace it then simulates).  Replaying that from scratch per
+    site would cost ``sites * O(trace)`` functional work; this walker
+    replays the full lap once, then walks the prefix forward site by
+    site (sites are processed in trace order), handing each pipeline a
+    deep copy of the state.  The training-op sequence each site observes
+    is identical to a from-scratch replay — including cache-line-boundary
+    continuity across segments — so the measurements are too.
     """
 
     def __init__(self, trace: Trace, pipeline) -> None:
@@ -358,14 +353,15 @@ def run_sampled(
     Args:
         trace: the *full* dynamic instruction stream; site selection and
             slicing happen here (both memoized on the trace).
-        plan: the sampling parameters (interval, chunk, k, warmup,
-            budget, seed).
+        plan: the sampling plan (its instruction budget; every other
+            selection parameter is a :mod:`.plan` constant).
         model / config / irb_config / max_cycles: exactly as in
             :func:`repro.simulation.runner.simulate`; ``max_cycles``
             guards each site run individually.
         warmup: when True (the default, matching full runs) each site is
-            preceded by functional warmup per ``plan.warmup`` — cache /
-            predictor / BTB training only, no cycle-core work.
+            preceded by functional warmup over the full trace plus the
+            prefix up to the site — cache / predictor / BTB training
+            only, no cycle-core work.  False runs every site cold.
         tracer: telemetry sink; receives every site run's raw pipeline
             events (in each site's own cycle/seq domain) plus, at the
             end, one :class:`PhaseEvent` per measured region stamped
@@ -393,12 +389,9 @@ def run_sampled(
         else:
             pipeline = cls(slice_trace, config)
         if warmup:
-            if plan.warmup < 0:
-                if walker is None:
-                    walker = _WarmWalker(trace, pipeline)
-                walker.install(pipeline, site)
-            else:
-                pipeline.warm_up(insts=warmup_insts(trace, site, plan.warmup))
+            if walker is None:
+                walker = _WarmWalker(trace, pipeline)
+            walker.install(pipeline, site)
         window = WindowTracer()
         if tracer is not NULL_TRACER:
             from ..telemetry import TeeTracer

@@ -4,44 +4,41 @@ A :class:`SamplingPlan` plays the same role for sampled simulation that
 :class:`~repro.core.MachineConfig` plays for the timing models — a frozen
 value object that is hashed into campaign content keys
 (:mod:`repro.campaign.keys`), so a sampled result can never collide with
-a full run of the same job, and two sampled runs collide only when every
-selection parameter matches.
+a full run of the same job, and two sampled runs collide only when their
+plans match.
 
-The plan deliberately holds no trace-dependent state.  Resolving it
-against a concrete trace (how many intervals, which sites the
-instruction budget affords) happens in :mod:`.regions`.
+Only the instruction budget varies between callers (the exact re-check
+runs at ``budget=1.0``); the remaining selection parameters are the
+module constants below, and warmup is always the full-trace lap plus the
+prefix up to each site.  The plan deliberately holds no trace-dependent
+state.  Resolving it against a concrete trace (how many intervals, which
+sites the instruction budget affords) happens in :mod:`.regions`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-#: Default interval length (dynamic instructions per basic-block vector).
+#: Interval length (dynamic instructions per basic-block vector).
 #: Chosen against the 40k-instruction reference traces: short enough for
 #: ~270 intervals (stable clustering and regression fits), long enough
 #: that one interval amortises the pipeline-fill transient of its site.
 DEFAULT_INTERVAL = 150
 
-#: Default measured intervals per site (the "chunk").  Within one site
-#: only the first measured interval runs behind the single functional-pad
+#: Measured intervals per site (the "chunk").  Within one site only the
+#: first measured interval runs behind the single functional-pad
 #: interval; the rest execute with fully detailed context, which is what
 #: keeps window measurements honest for backlog-sensitive apps (see
 #: ``docs/SAMPLING.md``).
 DEFAULT_CHUNK = 3
-
-#: Default functional-warmup policy.  ``-1`` replays the whole trace and
-#: then the prefix up to the site (mirroring how a full run reaches that
-#: point with trained caches/predictor); a non-negative value replays
-#: only that many instructions immediately before the site.
-DEFAULT_WARMUP = -1
 
 #: Default cap on the fraction of dynamic instructions the cycle core may
 #: simulate.  1/5 is the acceptance gate: a sampled run must be at least
 #: a 5x reduction in cycle-core work.
 DEFAULT_BUDGET = 0.20
 
-#: Default clustering / projection seed (selection is deterministic
-#: given the plan).
+#: Clustering / projection seed (selection is deterministic given the
+#: plan).
 DEFAULT_SEED = 42
 
 
@@ -50,37 +47,13 @@ class SamplingPlan:
     """Parameters of BBV phase analysis and site selection.
 
     Attributes:
-        interval: dynamic instructions per profiling interval (one basic
-            block vector, and one candidate measurement, per interval).
-        chunk: consecutive measured intervals per selected site.
-        k: fixed cluster count; ``0`` (the default) uses the clustering
-            ensemble for weighting and BIC selection (see
-            :func:`repro.sampling.kmeans.select_k`) for the phase map.
-        warmup: functional warmup before each site — ``-1`` replays the
-            full trace plus the prefix up to the site, ``n >= 0`` replays
-            only the ``n`` instructions preceding it (costs no cycle-core
-            instructions either way).
         budget: maximum fraction of the trace the cycle core may
             simulate; bounds the number of sites selected.
-        seed: clustering / projection seed.
     """
 
-    interval: int = DEFAULT_INTERVAL
-    chunk: int = DEFAULT_CHUNK
-    k: int = 0
-    warmup: int = DEFAULT_WARMUP
     budget: float = DEFAULT_BUDGET
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.interval < 1:
-            raise ValueError("interval must be >= 1")
-        if self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        if self.k < 0:
-            raise ValueError("k must be >= 0 (0 = ensemble weighting)")
-        if self.warmup < -1:
-            raise ValueError("warmup must be >= -1 (-1 = full replay)")
         if not (0.0 < self.budget <= 1.0):
             raise ValueError("budget must be in (0, 1]")
 
@@ -88,28 +61,6 @@ class SamplingPlan:
         """JSON-able form (CLI output, benchmark results, CI artifacts)."""
         return asdict(self)
 
-    def max_measured(self, n_insts: int) -> int:
-        """Most measured intervals the instruction budget allows.
-
-        Always at least 1 (a sampled run must measure something), at
-        most the interval count.
-        """
-        intervals = max(1, -(-n_insts // self.interval))  # ceil division
-        by_budget = int(self.budget * n_insts / self.interval)
-        return max(1, min(intervals, by_budget))
-
     def selection_key(self) -> tuple:
-        """Hashable memo key for site selection on one trace.
-
-        ``warmup`` is deliberately excluded: it shapes the simulation of
-        each site, not which sites are selected, so plans differing only
-        in warmup share one selection pass.
-        """
-        return (
-            "sampling-selection",
-            self.interval,
-            self.chunk,
-            self.k,
-            self.budget,
-            self.seed,
-        )
+        """Hashable memo key for site selection on one trace."""
+        return ("sampling-selection", self.budget)

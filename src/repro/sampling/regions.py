@@ -3,7 +3,7 @@
 Gluing the profile (:mod:`.bbv`) to the clusters (:mod:`.kmeans`) and
 the functional proxies (:mod:`.proxies`).  Selection works on *chunk
 sites*: a site is one functional-pad interval followed by
-``plan.chunk`` consecutive *measured* intervals, aligned to interval
+``DEFAULT_CHUNK`` consecutive *measured* intervals, aligned to interval
 boundaries.  Measuring a chunk rather than a lone interval is what keeps
 window measurements honest — only the first measured interval sits
 behind the (detail-warmed but short) pad; the rest execute with fully
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..workloads import Trace
 from .bbv import BBVProfile, profile_trace, project
 from .kmeans import Clustering, select_k
-from .plan import SamplingPlan
+from .plan import DEFAULT_CHUNK, DEFAULT_INTERVAL, DEFAULT_SEED, SamplingPlan
 from .proxies import interval_proxies
 
 #: Blend factor ``lam`` between the stratified estimate and the
@@ -57,8 +57,7 @@ from .proxies import interval_proxies
 BLEND = 0.5
 
 #: Cluster counts of the weighting ensemble (each paired with three
-#: projection seeds plus a per-seed 1-NN map).  A fixed ``plan.k``
-#: replaces the whole list.
+#: projection seeds plus a per-seed 1-NN map).
 ENSEMBLE_KS = (10, 16, 22, 28)
 
 #: Cap on the BIC search for the *reporting* phase map (the phase map
@@ -281,19 +280,16 @@ def _nn_weights(
 
 
 def _ensemble_weights(
-    profile: BBVProfile,
-    measured: Set[int],
-    plan: SamplingPlan,
+    profile: BBVProfile, measured: Set[int]
 ) -> Dict[int, float]:
     """The stratified-ensemble weights ``W_j`` (sum to 1)."""
     weights = [interval.length for interval in profile.intervals]
     count = len(weights)
-    ks = (plan.k,) if plan.k else ENSEMBLE_KS
     accumulated = {j: 0.0 for j in measured}
     passes = 0
-    for seed in (plan.seed, plan.seed + 1, plan.seed + 2):
+    for seed in (DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2):
         points = project(profile, seed)
-        for k in ks:
+        for k in ENSEMBLE_KS:
             clustering = select_k(
                 points, min(k, count), seed, k_fixed=min(k, count)
             )
@@ -330,15 +326,12 @@ def _solve3(
 
 
 def _region_weights(
-    trace: Trace,
-    profile: BBVProfile,
-    measured: Set[int],
-    plan: SamplingPlan,
+    trace: Trace, profile: BBVProfile, measured: Set[int]
 ) -> Dict[int, float]:
     """The final per-region weights ``V_j`` (strat ensemble + control
     variate), computable before any cycle-core work."""
-    strat = _ensemble_weights(profile, measured, plan)
-    proxies = interval_proxies(trace, plan.interval)
+    strat = _ensemble_weights(profile, measured)
+    proxies = interval_proxies(trace, DEFAULT_INTERVAL)
     lengths = [interval.length for interval in profile.intervals]
     total_weight = sum(lengths)
     covariates = {j: (1.0, proxies[j][0], proxies[j][1]) for j in measured}
@@ -405,22 +398,18 @@ def _sites_of(
 
 
 def _select(trace: Trace, plan: SamplingPlan) -> RegionSelection:
-    profile: BBVProfile = profile_trace(trace, plan.interval)
-    points = project(profile, plan.seed)
+    profile: BBVProfile = profile_trace(trace, DEFAULT_INTERVAL)
+    points = project(profile, DEFAULT_SEED)
     lengths = [interval.length for interval in profile.intervals]
-    count = len(points)
 
     measured, simulated = _select_chunks(
-        points, lengths, plan.chunk, plan.budget
+        points, lengths, DEFAULT_CHUNK, plan.budget
     )
-    weights = _region_weights(trace, profile, measured, plan)
+    weights = _region_weights(trace, profile, measured)
 
-    # Reporting phase map (BIC-selected unless the plan pins k).
+    # Reporting phase map (BIC-selected).
     phase_clustering = select_k(
-        points,
-        min(PHASE_K_MAX, count),
-        plan.seed,
-        k_fixed=min(plan.k, count) if plan.k else 0,
+        points, min(PHASE_K_MAX, len(points)), DEFAULT_SEED
     )
 
     total = profile.total_insts
@@ -435,11 +424,11 @@ def _select(trace: Trace, plan: SamplingPlan) -> RegionSelection:
         for j in sorted(measured)
     )
     return RegionSelection(
-        interval_length=plan.interval,
+        interval_length=DEFAULT_INTERVAL,
         total_insts=total,
         phase_of=phase_clustering.assignments,
         regions=regions,
-        sites=_sites_of(simulated, measured, plan.interval, total),
+        sites=_sites_of(simulated, measured, DEFAULT_INTERVAL, total),
         fingerprints=tuple(
             interval.fingerprint for interval in profile.intervals
         ),
@@ -449,10 +438,8 @@ def _select(trace: Trace, plan: SamplingPlan) -> RegionSelection:
 def select_regions(trace: Trace, plan: SamplingPlan) -> RegionSelection:
     """The (memoized) region selection for ``trace`` under ``plan``.
 
-    Memoized on the trace object by the plan's selection parameters
-    (warmup excluded — it does not change *which* regions are picked),
-    so every job sharing the trace shares one profiling + clustering +
-    weighting pass.
+    Memoized on the trace object by the plan, so every job sharing the
+    trace shares one profiling + clustering + weighting pass.
     """
     return trace.derived(plan.selection_key(), lambda t: _select(t, plan))
 
@@ -481,20 +468,3 @@ def site_trace(trace: Trace, site: Site) -> Trace:
         )
 
     return trace.derived(("region-trace", site.start, site.end), build)
-
-
-def warmup_insts(trace: Trace, site: Site, warmup: int) -> List:
-    """The instruction sequence functional warmup replays before a site.
-
-    ``warmup == -1`` (the plan default) replays the full trace and then
-    the prefix up to the site — the same history a full run's structures
-    have seen when they reach that point (the full-trace lap mirrors the
-    full run's own warm-up discipline, which replays the entire trace it
-    then simulates).  A non-negative ``warmup`` replays only that many
-    instructions immediately preceding the site.
-    """
-    if warmup < 0:
-        if site.start:
-            return list(trace.insts) + list(trace.insts[: site.start])
-        return list(trace.insts)
-    return list(trace.insts[max(0, site.start - warmup):site.start])

@@ -47,18 +47,8 @@ from ..campaign import (
 )
 from ..campaign.store import ResultStore
 from ..sampling.plan import SamplingPlan
+from ..workloads import APP_NAMES
 from .backends import KINDS
-
-#: Sampling query parameters accepted by ``/experiment`` (mirroring the
-#: ``repro campaign`` flags) and their SamplingPlan field names.
-_SAMPLING_PARAMS: Dict[str, str] = {
-    "interval": "interval",
-    "chunk": "chunk",
-    "k": "k",
-    "warmup": "warmup",
-    "budget": "budget",
-    "sample_seed": "seed",
-}
 
 
 class ServeError(Exception):
@@ -75,28 +65,25 @@ def _experiment_payload(
 ) -> Tuple[dict, Optional[SamplingPlan]]:
     """Parse an ``/experiment`` query into (run kwargs, sampling plan)."""
     kwargs: dict = {}
-    if query.get("apps"):
-        kwargs["apps"] = tuple(a for a in query["apps"].split(",") if a)
     try:
+        if "apps" in query:
+            apps = tuple(a for a in query["apps"].split(",") if a)
+            if not apps:
+                raise ValueError("apps names no workload")
+            unknown = [a for a in apps if a not in APP_NAMES]
+            if unknown:
+                raise ValueError(f"unknown workloads: {', '.join(unknown)}")
+            kwargs["apps"] = apps
         if query.get("n"):
             kwargs["n_insts"] = int(query["n"])
             if kwargs["n_insts"] < 1:
                 raise ValueError("n must be >= 1")
         if query.get("seed"):
             kwargs["seed"] = int(query["seed"])
-        sampling: dict = {}
-        if query.get("sample") in ("1", "true", "yes"):
-            for param, field_name in _SAMPLING_PARAMS.items():
-                if query.get(param):
-                    raw = query[param]
-                    sampling[field_name] = (
-                        float(raw) if field_name == "budget" else int(raw)
-                    )
-            sampling.setdefault("interval", SamplingPlan().interval)
-        plan = SamplingPlan(**sampling) if sampling else None
     except ValueError as error:
         raise ServeError(400, f"bad query parameter: {error}") from None
-    return kwargs, plan
+    sample = query.get("sample") in ("1", "true", "yes")
+    return kwargs, SamplingPlan() if sample else None
 
 
 class ReproServer(ThreadingHTTPServer):

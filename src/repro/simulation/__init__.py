@@ -1,4 +1,4 @@
-"""Simulation driver layer: runners, sweeps, metrics, reporting."""
+"""Simulation driver layer: runners, metrics, reporting."""
 
 from .metrics import (
     arithmetic_mean,
@@ -8,12 +8,10 @@ from .metrics import (
 )
 from .reporting import format_table
 from .runner import MODELS, RunResult, get_trace, run_workload, simulate
-from .sweep import SweepResult, sweep, sweep_jobs
 
 __all__ = [
     "MODELS",
     "RunResult",
-    "SweepResult",
     "arithmetic_mean",
     "format_table",
     "geometric_mean",
@@ -22,6 +20,4 @@ __all__ = [
     "recovered_fraction",
     "run_workload",
     "simulate",
-    "sweep",
-    "sweep_jobs",
 ]

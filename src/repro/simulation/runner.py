@@ -93,7 +93,9 @@ def simulate(
 
     Args:
         trace: the dynamic instruction stream.
-        model: one of ``"sie"``, ``"die"``, ``"die-irb"``, ``"sie-irb"``.
+        model: a key of :data:`MODELS` (``"sie"``, ``"die"``, ``"die-irb"``,
+            ``"sie-irb"``, ``"die-irb-fwd"``, ``"die-vp"``,
+            ``"die-cluster-split"``, ``"die-cluster-repl"``, ``"srt"``).
         config: machine configuration (baseline if omitted).
         irb_config: IRB parameters (only for the IRB models).
         fault_injector: optional transient-fault plan.

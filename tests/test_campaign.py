@@ -35,7 +35,6 @@ from repro.core import MachineConfig, SimStats
 from repro.isa import FUClass
 from repro.redundancy import EXEC_PRIMARY, Fault
 from repro.reuse import IRBConfig
-from repro.simulation import sweep_jobs
 
 N = 3000  # small enough for CI, large enough for non-trivial stats
 
@@ -255,24 +254,6 @@ class TestCampaignContext:
             again = experiment.run(apps=("gzip",), n_insts=N)
         assert again.column("SIE") == first.column("SIE")
         assert store.hits >= store.writes
-
-
-class TestSweepJobs:
-    def test_sweep_jobs_product_order(self, tmp_path):
-        results = sweep_jobs(
-            [("model", ["sie", "die"]), ("seed", [1, 2])],
-            lambda model, seed: Job("gzip", N, model=model, seed=seed),
-            jobs_n=1,
-            store=ResultStore(tmp_path / "store"),
-        )
-        assert [r.params for r in results] == [
-            {"model": "sie", "seed": 1},
-            {"model": "sie", "seed": 2},
-            {"model": "die", "seed": 1},
-            {"model": "die", "seed": 2},
-        ]
-        for r in results:
-            assert r.value.stats.committed == N
 
 
 class TestFaultJobs:

@@ -248,3 +248,28 @@ class TestStoreCommands:
         ):
             assert main(argv) == 2
             assert "local store" in capsys.readouterr().err
+
+
+class TestSampleValidate:
+    @pytest.mark.parametrize(
+        "selection, message",
+        [
+            (["--apps", "gzip", "--models", ","], "no models given"),
+            (["--apps", ","], "no workloads given"),
+        ],
+        ids=["empty-models", "empty-apps"],
+    )
+    def test_empty_selection_fails_cleanly(self, capsys, selection, message):
+        argv = ["sample", "validate", "--n", "2000", "--no-store"] + selection
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "all gates passed" not in captured.err
+
+
+class TestSamplingFlags:
+    def test_removed_plan_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "F5", "--sample", "--k", "3"])
+        assert excinfo.value.code == 2
+        assert "--k" in capsys.readouterr().err

@@ -48,7 +48,7 @@ PINS: Dict[str, str] = {
     "die/art/DIE-2xALU":
         "45c75bfb4c078bc635d4358f676b731c117c32eb42b3c28d98d1aef629630edc",
     "die-irb/ammp/sampled":
-        "3523acc5fa31362d45cb6fa5c719e442f6fe12aec06d94446eaa8c04b7b0dda3",
+        "46cd41a5cf3e526e62532e2dcad901f67b80df1cd93ea38a5242a5d7c327372f",
 }
 
 

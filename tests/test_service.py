@@ -30,6 +30,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.core import SimStats
+from repro.sampling import SamplingPlan
 from repro.service.backends import (
     KIND_FUZZ,
     KIND_PROFILE,
@@ -291,6 +292,19 @@ class TestServe:
                 payload = json.loads(response.read())
             assert payload["stored"] is False
 
+    def test_job_spec_with_removed_plan_field_is_400(self, tmp_path):
+        spec = job_spec(Job("gzip", N, sampling=SamplingPlan()))
+        spec["sampling"]["k"] = 0
+        with running_server(ResultStore(tmp_path)) as server:
+            request = urllib.request.Request(
+                f"{server.url}/job", data=json.dumps(spec).encode(), method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 400
+            assert "'k'" in json.loads(excinfo.value.read())["error"]
+            assert server.simulations_executed == 0
+
     def test_warm_experiment_executes_zero_simulations(self, tmp_path):
         store = ResultStore(backend=SqliteBackend(tmp_path))
         from repro.experiments import get_experiment
@@ -329,7 +343,7 @@ class TestServe:
                 assert "live pipeline state" in json.loads(body)["error"]
 
     @pytest.mark.parametrize(
-        "query", ["sample=1&chunk=0", "sample=1&budget=2", "n=0", "n=-5"]
+        "query", ["apps=,", "apps=nosuch", "n=0", "n=-5"]
     )
     def test_out_of_range_query_is_400(self, tmp_path, query):
         with running_server(ResultStore(tmp_path)) as server:

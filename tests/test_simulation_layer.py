@@ -1,4 +1,4 @@
-"""Tests for the runner, metrics, reporting and sweep helpers."""
+"""Tests for the runner, metrics and reporting helpers."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.simulation import (
     recovered_fraction,
     run_workload,
     simulate,
-    sweep,
 )
 from repro.simulation.metrics import arithmetic_mean
 
@@ -114,22 +113,3 @@ class TestReporting:
     def test_bool_rendering(self):
         text = format_table(["flag"], [[True], [False]])
         assert "yes" in text and "no" in text
-
-
-class TestSweep:
-    def test_cartesian_product_order(self):
-        calls = []
-
-        def record(a, b):
-            calls.append((a, b))
-            return a * 10 + b
-
-        results = sweep([("a", [1, 2]), ("b", [3, 4])], record)
-        assert calls == [(1, 3), (1, 4), (2, 3), (2, 4)]
-        assert [r.value for r in results] == [13, 14, 23, 24]
-        assert results[0].params == {"a": 1, "b": 3}
-
-    def test_progress_callback(self):
-        seen = []
-        sweep([("x", [1, 2])], lambda x: x, progress=seen.append)
-        assert seen == [{"x": 1}, {"x": 2}]
