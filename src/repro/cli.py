@@ -37,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .campaign import DEFAULT_ROOT, ProgressPrinter, ResultStore, campaign_context
 from .core import MachineConfig
@@ -440,6 +440,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     kwargs = _experiment_kwargs(args)
+    if kwargs is None:
+        return 2
     result = experiment.run(**kwargs)
     if args.json:
         import json
@@ -571,10 +573,27 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 1 if diff.regressed else 0
 
 
-def _experiment_kwargs(args: argparse.Namespace) -> dict:
+def _selection(kind: str, text: str, known: Sequence[str]) -> Optional[List[str]]:
+    """The names in comma-separated ``text``; ``None`` (reported) if empty or unknown."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        print(f"no {kind} given", file=sys.stderr)
+        return None
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown {kind}: {', '.join(unknown)}", file=sys.stderr)
+        return None
+    return names
+
+
+def _experiment_kwargs(args: argparse.Namespace) -> Optional[dict]:
+    """Run keywords from ``--apps/--n/--seed``; ``None`` (reported) on bad apps."""
     kwargs: dict = {}
-    if args.apps:
-        kwargs["apps"] = tuple(args.apps.split(","))
+    if args.apps is not None:
+        apps = _selection("workloads", args.apps, APP_NAMES)
+        if apps is None:
+            return None
+        kwargs["apps"] = tuple(apps)
     if args.n:
         kwargs["n_insts"] = args.n
     if getattr(args, "seed", None) is not None:
@@ -600,6 +619,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(error, file=sys.stderr)
         return 2
+    kwargs = _experiment_kwargs(args)
+    if kwargs is None:
+        return 2
     store: Optional[ResultStore] = None
     if not args.no_store:
         store = _open_store(args.store_dir, args.backend)
@@ -608,7 +630,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if args.clear_store:
             removed = store.clear()
             print(f"store cleared ({removed} entries)", file=sys.stderr)
-    kwargs = _experiment_kwargs(args)
     progress = ProgressPrinter(enabled=not args.quiet)
     plan = _sampling_plan(args)
     if plan is not None:
@@ -807,22 +828,16 @@ def _cmd_sample_report(args: argparse.Namespace) -> int:
 def _cmd_sample_validate(args: argparse.Namespace) -> int:
     from .sampling import geomean_ipc_error, measure_errors
 
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
+    models = _selection("models", args.models, list(MODELS))
+    if models is None:
+        return 2
     apps = (
-        [a.strip() for a in args.apps.split(",") if a.strip()]
+        _selection("workloads", args.apps, APP_NAMES)
         if args.apps is not None
         else list(APP_NAMES)
     )
-    for kind, names, known in (
-        ("models", models, MODELS), ("workloads", apps, APP_NAMES)
-    ):
-        if not names:
-            print(f"no {kind} given", file=sys.stderr)
-            return 2
-        unknown = [name for name in names if name not in known]
-        if unknown:
-            print(f"unknown {kind}: {', '.join(unknown)}", file=sys.stderr)
-            return 2
+    if apps is None:
+        return 2
     plan = SamplingPlan()
     store: Optional[ResultStore] = None
     if not args.no_store:

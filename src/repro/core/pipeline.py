@@ -33,7 +33,12 @@ import heapq
 from collections import deque
 from typing import Any, Deque, List, Optional, Sequence, Tuple
 
-from ..branch import BranchTargetBuffer, ReturnAddressStack, make_predictor
+from ..branch import (
+    BranchTargetBuffer,
+    DirectionPredictor,
+    ReturnAddressStack,
+    make_predictor,
+)
 from ..isa import FUClass, NUM_REGS, TraceInst
 from ..memory import MemoryHierarchy
 from ..telemetry.events import (
@@ -58,6 +63,47 @@ from .stats import SimStats
 
 class DeadlockError(RuntimeError):
     """The pipeline stopped making progress (a model bug, not a workload)."""
+
+
+def functional_warm(
+    hier: MemoryHierarchy,
+    predictor: DirectionPredictor,
+    btb: BranchTargetBuffer,
+    trace: Trace,
+    decoded: DecodedTrace,
+    start: int,
+    stop: int,
+    last_block: Optional[int],
+) -> Optional[int]:
+    """Replay ``trace[start:stop]`` through caches, predictor and BTB.
+
+    Training only, no timing and no statistics reset.  ``last_block`` is
+    the I-cache block the previous replay ended on (``None`` to start
+    fresh); the return value is the one this replay ends on, so
+    consecutive segments fetch exactly as one replay would.
+    """
+    dec_ops = decoded.ops
+    blocks = decoded.blocks
+    warm_mem = decoded.warm_mem
+    for index, inst in enumerate(trace.insts[start:stop], start):
+        block = blocks[index]
+        if block != last_block:
+            hier.fetch(inst.pc, 0)
+            last_block = block
+        dec = dec_ops[index]
+        if warm_mem[index]:
+            if dec.load:
+                hier.load(inst.mem_addr, 0)
+            else:
+                hier.store(inst.mem_addr, 0)
+        if dec.cond_branch:
+            predicted = predictor.predict(inst.pc)
+            predictor.update(inst.pc, inst.taken, predicted)
+            if inst.taken:
+                btb.update(inst.pc, inst.next_pc)
+        elif dec.branch and not dec.is_ret:
+            btb.update(inst.pc, inst.next_pc)
+    return last_block
 
 
 class OOOPipeline:
@@ -231,38 +277,16 @@ class OOOPipeline:
         its structures are warm; our traces are short, and cold-start
         misses would otherwise dominate.  This replays the pipeline's own
         trace (PCs, memory addresses and branch outcomes) through the
-        stateful structures via the decoded-trace fast path, then zeroes
+        stateful structures with :func:`functional_warm`, then zeroes
         their statistics.  Call before :meth:`run`.  Sampled simulation
-        warms its site pipelines through ``repro.sampling``'s own walker
-        instead.
+        warms its site pipelines through the same loop, driven by
+        ``repro.sampling``'s walker.
         """
-        hier = self.hier
-        decoded = self._decoded
-        dec_ops = decoded.ops
-        blocks = decoded.blocks
-        warm_mem = decoded.warm_mem
-        predictor = self.predictor
-        btb = self.btb
-        last_block = None
-        for index, inst in enumerate(self.trace.insts):
-            block = blocks[index]
-            if block != last_block:
-                hier.fetch(inst.pc, 0)
-                last_block = block
-            dec = dec_ops[index]
-            if warm_mem[index]:
-                if dec.load:
-                    hier.load(inst.mem_addr, 0)
-                else:
-                    hier.store(inst.mem_addr, 0)
-            if dec.cond_branch:
-                predicted = predictor.predict(inst.pc)
-                predictor.update(inst.pc, inst.taken, predicted)
-                if inst.taken:
-                    btb.update(inst.pc, inst.next_pc)
-            elif dec.branch and not dec.is_ret:
-                btb.update(inst.pc, inst.next_pc)
-        hier.reset_stats()
+        functional_warm(
+            self.hier, self.predictor, self.btb, self.trace, self._decoded,
+            0, len(self.trace), None,
+        )
+        self.hier.reset_stats()
         self.predictor.reset_stats()
         self.btb.reset_stats()
 
@@ -449,8 +473,10 @@ class OOOPipeline:
 
         ``units`` is the busy-until list of the lane's pool (``None``:
         the entry needs no functional unit — a NOP, or an SIE-IRB reuse
-        hit, which takes an issue slot but no unit).  The claim is
-        :meth:`FUPool.issue`'s rule, inlined: take the least busy unit.
+        hit, which takes an issue slot but no unit).  Units are
+        interchangeable and a unit free at ``cycle`` stays free, so the
+        claim takes the least busy one and holds it for the op's
+        initiation interval.
         """
         trace = inst.trace
         fu = trace.fu

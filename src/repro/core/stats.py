@@ -91,10 +91,6 @@ class SimStats:
         out["irb_reuse_rate"] = self.irb_reuse_rate
         return out
 
-    def count_fu_issue(self, fu: FUClass, busy: int = 1) -> None:
-        self.fu_issued[fu] = self.fu_issued.get(fu, 0) + 1
-        self.fu_busy_cycles[fu] = self.fu_busy_cycles.get(fu, 0) + busy
-
     def fu_utilization(self, fu: FUClass, count: int) -> float:
         """Mean busy fraction of the ``count`` units of class ``fu``."""
         if not self.cycles or not count:

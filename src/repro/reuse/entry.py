@@ -7,13 +7,13 @@ it for the conflict-miss-reduction replacement policy (Section 3.1's
 
 For the *name-based* variant (Section 3.3), operands hold (register,
 version) pairs instead of values: an entry is reusable while neither
-source register has been overwritten since insertion.
+source register has been overwritten since insertion, which the same
+equality test decides (a new write bumps the register's version).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 
 @dataclass
@@ -36,24 +36,6 @@ class IRBEntry:
     result: object
     ctr: int = 0
 
-    def matches_values(self, v1: object, v2: object) -> bool:
-        """Value-based reuse test: do current operands equal captured ones?"""
-        return self.op1 == v1 and self.op2 == v2
-
-    def matches_names(
-        self,
-        regs: Tuple[Optional[int], Optional[int]],
-        versions,
-    ) -> bool:
-        """Name-based reuse test: are both source registers unwritten?
-
-        ``versions`` maps register id -> current committed version.
-        """
-        for slot, reg in zip((self.op1, self.op2), regs):
-            if reg is None:
-                if slot is not None:
-                    return False
-                continue
-            if slot is None or slot[0] != reg or slot[1] != versions[reg]:
-                return False
-        return True
+    def matches(self, op1: object, op2: object) -> bool:
+        """The reuse test: do the current operands equal the captured ones?"""
+        return self.op1 == op1 and self.op2 == op2

@@ -10,6 +10,10 @@ modelled for the conflict-miss study.
 The IRB stores *committed* state only: entries are installed at commit
 through a small write queue bounded by the write ports, so the timing
 model never has to roll IRB contents back on a squash.
+
+:class:`IRBFrontEnd` is the buffer's pipeline-facing protocol, shared by
+the SIE-IRB and DIE-IRB timing models: the pipelined PC probe, the reuse
+test at operand capture, and the commit-time install with its drain.
 """
 
 from __future__ import annotations
@@ -18,7 +22,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
-from ..isa import NUM_REGS
+from ..core import SimStats
+from ..core.decoded import OP_META
+from ..core.dyninst import DynInst
+from ..isa import NUM_REGS, TraceInst
+from ..telemetry.events import (
+    IRB_LOOKUP,
+    IRB_PC_HIT,
+    IRB_PORT_STARVED,
+    IRB_REUSE_HIT,
+    IRB_WRITE,
+    NULL_TRACER,
+    IRBEvent,
+)
 from .entry import IRBEntry
 from .ports import PortArbiter
 
@@ -74,13 +90,10 @@ class IRBConfig:
 
 @dataclass
 class IRBStats:
-    """Occupancy-independent IRB event counts."""
+    """Write-side IRB event counts (the probe side counts in ``SimStats``)."""
 
-    lookups: int = 0
-    pc_hits: int = 0
     writes: int = 0
     write_drops: int = 0
-    evictions: int = 0
     defended: int = 0  # CTR policy kept the incumbent entry
 
 
@@ -106,13 +119,11 @@ class IRB:
 
     def lookup(self, pc: int) -> Optional[IRBEntry]:
         """PC probe; returns the entry (refreshing set-LRU) or ``None``."""
-        self.stats.lookups += 1
         entries = self._sets[(pc >> 2) & self._set_mask]
         for position, entry in enumerate(entries):
             if entry.pc == pc:
                 if position:
                     entries.insert(0, entries.pop(position))
-                self.stats.pc_hits += 1
                 return entry
         return None
 
@@ -163,7 +174,6 @@ class IRB:
                 self.stats.defended += 1
                 return  # incumbent defends its slot; the write is dropped
             entries.pop()
-            self.stats.evictions += 1
         entries.insert(0, IRBEntry(pc=pc, op1=op1, op2=op2, result=result))
         self.stats.writes += 1
 
@@ -208,3 +218,151 @@ class IRB:
     def flush(self) -> None:
         """Invalidate everything (keeps statistics and the write queue)."""
         self._sets = [[] for _ in range(self.config.sets)]
+
+
+class IRBFrontEnd:
+    """The IRB's pipeline-facing protocol, mixed into an ``OOOPipeline``.
+
+    One mechanism serves both reuse models (Sections 3.2-3.3):
+
+    * the pipelined PC probe starts in parallel with fetch, so by
+      dispatch it is ``lookup_latency - frontend_latency`` cycles from
+      done; its read port is charged at dispatch, because the sustained
+      probe rate is the effective dispatch rate (fetch groups are bursty
+      and would overstate contention);
+    * the reuse test runs at operand capture, against the probing entry's
+      operands (:meth:`_operands`);
+    * installs are queued at commit and drained through the write ports.
+
+    A model supplies only what differs: which of its RUU entries probes
+    (:attr:`PROBE_ENTRY`), what a hit does (:meth:`_reuse_complete`) and,
+    for DIE-IRB's name-based variant, the operand names it captures at
+    dispatch (``DynInst.name_ops``).  Call
+    :meth:`_attach_irb` from ``__init__``; list this class before the
+    pipeline base so its hooks wrap the base's.
+    """
+
+    #: Index, in ``_hook_make_entries``' list, of the entry that probes.
+    PROBE_ENTRY = 0
+
+    def _attach_irb(self, irb_config: Optional[IRBConfig]) -> None:
+        irb = self.irb = IRB(irb_config)
+        self.ports = PortArbiter(
+            irb.config.read_ports, irb.config.write_ports, irb.config.rw_ports
+        )
+        # How far past dispatch the pipelined lookup lands.
+        self._lookup_residual = max(
+            0, irb.config.lookup_latency - self.config.frontend_latency
+        )
+
+    # ------------------------------------------------------------------
+    # Fetch side: pipelined PC probe
+    # ------------------------------------------------------------------
+
+    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
+        entries = super()._hook_make_entries(inst)
+        prober = entries[self.PROBE_ENTRY]
+        if prober.dec.reusable:
+            entry = self._probe_pc(inst.pc, inst.opcode)
+            if entry is not None:
+                prober.irb_entry = entry
+                prober.irb_ready_cycle = self.cycle + self._lookup_residual
+        return entries
+
+    def _hook_dispatch_blocked(self, inst: TraceInst) -> None:
+        # A rejected dispatch attempt still probes (port accounting and
+        # statistics move per attempt), as the discarded construction did.
+        if OP_META[inst.opcode].reusable:
+            self._probe_pc(inst.pc, inst.opcode)
+
+    def _probe_pc(self, pc: int, opcode: object) -> Optional[IRBEntry]:
+        """One probe's accounting (stats, ports, lookup, telemetry)."""
+        stats = self.stats
+        stats.irb_lookups += 1
+        tracer = self.tracer
+        tracing = tracer is not NULL_TRACER
+        if tracing:
+            tracer.emit(IRBEvent(IRB_LOOKUP, self.cycle, pc, opcode))
+        if not self.ports.try_read(self.cycle):
+            # All read ports busy this cycle: the probe is abandoned and
+            # the instruction executes on the FUs (counted, rare).
+            stats.irb_port_starved += 1
+            if tracing:
+                tracer.emit(IRBEvent(IRB_PORT_STARVED, self.cycle, pc))
+            return None
+        entry = self.irb.lookup(pc)
+        if entry is not None:
+            stats.irb_pc_hits += 1
+            if tracing:
+                tracer.emit(IRBEvent(IRB_PC_HIT, self.cycle, pc, opcode))
+        return entry
+
+    # ------------------------------------------------------------------
+    # Operand capture: the reuse test
+    # ------------------------------------------------------------------
+
+    def _hook_on_ready(self, inst: DynInst, cycle: int) -> None:
+        entry = inst.irb_entry
+        if entry is not None and not inst.reuse_hit:
+            if cycle < inst.irb_ready_cycle:
+                # Operands beat the pipelined lookup; retest when it lands.
+                self._schedule(inst.irb_ready_cycle, "reready", inst)
+                return
+            if entry.matches(*self._operands(inst)):
+                inst.reuse_hit = True
+                self.irb.touch(entry)
+                self.stats.irb_reuse_hits += 1
+                tracer = self.tracer
+                if tracer is not NULL_TRACER:
+                    trace = inst.trace
+                    tracer.emit(IRBEvent(IRB_REUSE_HIT, cycle, trace.pc, trace.opcode))
+        if inst.reuse_hit:
+            self._reuse_complete(inst, entry, cycle)
+        else:
+            super()._hook_on_ready(inst, cycle)
+
+    def _operands(self, inst: DynInst) -> Tuple[object, object]:
+        """What the IRB stores and compares for ``inst``.
+
+        Its source values, or under ``name_based`` (DIE-IRB only) the
+        (register, version) names the model captured at dispatch.
+        """
+        if self.irb.config.name_based:
+            return inst.name_ops
+        trace = inst.trace
+        return trace.src1_val, trace.src2_val
+
+    def _reuse_complete(self, inst: DynInst, entry: IRBEntry, cycle: int) -> None:
+        """Carry a reuse hit to completion (the model's own policy)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Commit side: installs through the write ports
+    # ------------------------------------------------------------------
+
+    def _hook_post_commit(self, insts: List[DynInst]) -> None:
+        tracer = self.tracer
+        for inst in insts:
+            if inst.stream or not inst.dec.reusable:
+                continue
+            # The probing entry carries the hit (DIE: the duplicate).
+            prober = inst.pair if self.PROBE_ENTRY else inst
+            if prober.reuse_hit:
+                continue
+            trace = inst.trace
+            # What the IRB stores: address for mem ops, outcome otherwise.
+            result = trace.mem_addr if inst.dec.mem else trace.result
+            self.irb.enqueue_write(trace.pc, *self._operands(inst), result)
+            if tracer is not NULL_TRACER:
+                tracer.emit(IRBEvent(IRB_WRITE, self.cycle, trace.pc, trace.opcode))
+
+    def _hook_tick(self) -> None:
+        irb = self.irb
+        if irb.write_q:
+            irb.drain(self.ports, self.cycle)
+
+    def run(self, max_cycles: Optional[int] = None) -> SimStats:
+        stats = super().run(max_cycles)
+        stats.irb_writes = self.irb.stats.writes
+        stats.irb_write_drops = self.irb.stats.write_drops
+        return stats

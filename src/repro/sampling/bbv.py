@@ -108,22 +108,6 @@ class BBVProfile:
     total_insts: int
     intervals: Tuple[BBVInterval, ...]
 
-    @property
-    def block_universe(self) -> List[int]:
-        """Every code-block entry PC seen anywhere in the trace, sorted."""
-        blocks: Set[int] = set()
-        for interval in self.intervals:
-            blocks.update(key for key in interval.vector if key >= 0)
-        return sorted(blocks)
-
-    @property
-    def feature_universe(self) -> List[int]:
-        """Every feature key (code and data) in the trace, sorted."""
-        keys: Set[int] = set()
-        for interval in self.intervals:
-            keys.update(interval.vector)
-        return sorted(keys)
-
 
 def _fingerprint(vector: Dict[int, int]) -> str:
     payload = json.dumps(

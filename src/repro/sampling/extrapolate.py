@@ -46,11 +46,12 @@ import copy
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
-from ..core import MachineConfig, SimStats
-from ..core.decoded import OP_META
+from ..core import MachineConfig, OOOPipeline, SimStats
+from ..core.decoded import decode_trace
+from ..core.pipeline import functional_warm
 from ..isa import FUClass
 from ..reuse import IRBConfig
-from ..simulation.runner import _IRB_MODELS, MODELS
+from ..simulation.runner import make_pipeline
 from ..telemetry.events import (
     IRB_LOOKUP,
     IRB_PC_HIT,
@@ -138,50 +139,27 @@ class _WarmWalker:
     continuity across segments — so the measurements are too.
     """
 
-    def __init__(self, trace: Trace, pipeline) -> None:
+    def __init__(self, trace: Trace, pipeline: OOOPipeline) -> None:
         self._trace = trace
-        self._is_cold = trace.is_cold
-        self._line_bytes = pipeline.hier.l1i.config.line_bytes
+        self._decoded = decode_trace(trace, pipeline.hier.l1i.config.line_bytes)
         self._hier = copy.deepcopy(pipeline.hier)
         self._predictor = copy.deepcopy(pipeline.predictor)
         self._btb = copy.deepcopy(pipeline.btb)
         self._last_block: Optional[int] = None
         self._position = 0
-        self._replay(trace.insts)  # the full-trace lap
+        self._replay(len(trace))  # the full-trace lap
 
-    def _replay(self, insts) -> None:
-        hier = self._hier
-        predictor = self._predictor
-        btb = self._btb
-        op_meta = OP_META
-        line_bytes = self._line_bytes
-        is_cold = self._is_cold
-        last_block = self._last_block
-        for inst in insts:
-            block = inst.pc // line_bytes
-            if block != last_block:
-                hier.fetch(inst.pc, 0)
-                last_block = block
-            dec = op_meta[inst.opcode]
-            if dec.mem and not is_cold(inst.mem_addr):
-                if dec.load:
-                    hier.load(inst.mem_addr, 0)
-                else:
-                    hier.store(inst.mem_addr, 0)
-            if dec.cond_branch:
-                predicted = predictor.predict(inst.pc)
-                predictor.update(inst.pc, inst.taken, predicted)
-                if inst.taken:
-                    btb.update(inst.pc, inst.next_pc)
-            elif dec.branch and not dec.is_ret:
-                btb.update(inst.pc, inst.next_pc)
-        self._last_block = last_block
+    def _replay(self, stop: int) -> None:
+        self._last_block = functional_warm(
+            self._hier, self._predictor, self._btb, self._trace, self._decoded,
+            self._position, stop, self._last_block,
+        )
 
     def install(self, pipeline, site: Site) -> None:
         """Advance to the site's start and warm-start ``pipeline``."""
         if site.start < self._position:  # pragma: no cover - sites are ordered
             raise ValueError("sites must be processed in trace order")
-        self._replay(self._trace.insts[self._position:site.start])
+        self._replay(site.start)
         self._position = site.start
         pipeline.hier = copy.deepcopy(self._hier)
         pipeline.predictor = copy.deepcopy(self._predictor)
@@ -368,14 +346,6 @@ def run_sampled(
             with the region's start offset on the reconstructed
             (concatenated-window) timeline.
     """
-    try:
-        cls = MODELS[model]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {model!r}; choose from {sorted(MODELS)}"
-        ) from None
-    if irb_config is not None and model not in _IRB_MODELS:
-        raise ValueError(f"model {model!r} takes no IRB configuration")
     if tracer is None:
         tracer = NULL_TRACER
 
@@ -384,10 +354,7 @@ def run_sampled(
     walker: Optional[_WarmWalker] = None
     for site in selection.sites:
         slice_trace = site_trace(trace, site)
-        if model in _IRB_MODELS:
-            pipeline = cls(slice_trace, config, irb_config)  # type: ignore[call-arg]
-        else:
-            pipeline = cls(slice_trace, config)
+        pipeline = make_pipeline(model, slice_trace, config, irb_config)
         if warmup:
             if walker is None:
                 walker = _WarmWalker(trace, pipeline)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: Lloyd-iteration cap (tiny point sets converge in a handful of steps).
 MAX_ITERATIONS = 100
@@ -216,25 +216,3 @@ def select_k(
         if solution.bic >= cutoff:
             return solution
     return solutions[-1]  # pragma: no cover - cutoff <= high guarantees a hit
-
-
-def closest_to_centroid(
-    points: Sequence[Point],
-    clustering: Clustering,
-    cluster: int,
-) -> Optional[int]:
-    """Index of the member point nearest the cluster's centroid.
-
-    Ties break toward the earliest point; ``None`` for empty clusters
-    (possible when callers re-map assignments).
-    """
-    centroid = clustering.centroids[cluster]
-    best: Optional[int] = None
-    best_dist = math.inf
-    for index, assigned in enumerate(clustering.assignments):
-        if assigned != cluster:
-            continue
-        dist = _sq_dist(points[index], centroid)
-        if dist < best_dist:
-            best, best_dist = index, dist
-    return best

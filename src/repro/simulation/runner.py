@@ -39,6 +39,30 @@ MODELS: Dict[str, Type[OOOPipeline]] = {
 _IRB_MODELS = ("die-irb", "sie-irb", "die-irb-fwd")
 
 
+def make_pipeline(
+    model: str,
+    trace: Trace,
+    config: Optional[MachineConfig] = None,
+    irb_config: Optional[IRBConfig] = None,
+) -> OOOPipeline:
+    """Construct timing model ``model`` (a key of :data:`MODELS`) over ``trace``.
+
+    ``irb_config`` is for the IRB models only; any other model given one
+    is an error, as is an unknown model name.
+    """
+    try:
+        cls = MODELS[model]
+    except KeyError:
+        raise ValueError(
+            f"unknown model {model!r}; choose from {sorted(MODELS)}"
+        ) from None
+    if model in _IRB_MODELS:
+        return cls(trace, config, irb_config)  # type: ignore[call-arg]
+    if irb_config is not None:
+        raise ValueError(f"model {model!r} takes no IRB configuration")
+    return cls(trace, config)
+
+
 @dataclass
 class RunResult:
     """Everything one simulation run produced.
@@ -105,19 +129,7 @@ def simulate(
         tracer: telemetry sink (``repro.telemetry``); observation only —
             cycle counts are identical with or without one attached.
     """
-    try:
-        cls = MODELS[model]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {model!r}; choose from {sorted(MODELS)}"
-        ) from None
-    if irb_config is not None and model not in _IRB_MODELS:
-        raise ValueError(f"model {model!r} takes no IRB configuration")
-    if model in _IRB_MODELS:
-        # IRB pipeline constructors take the extra irb_config parameter.
-        pipeline = cls(trace, config, irb_config)  # type: ignore[call-arg]
-    else:
-        pipeline = cls(trace, config)
+    pipeline = make_pipeline(model, trace, config, irb_config)
     if fault_injector is not None:
         pipeline.fault_injector = fault_injector
     if tracer is not None:

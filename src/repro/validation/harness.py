@@ -1,11 +1,11 @@
 """Differential run harness: one trace through every timing model.
 
-The harness owns pipeline construction (mirroring
-:func:`repro.simulation.simulate`) so it can attach a
-:class:`CommitAuditor` tracer, which the public runner deliberately does
-not expose: it records per-``(seq, stream)`` fetch/commit counts and the
-primary-stream commit order, the raw material for the
-commit-exactly-once and oracle-match invariants.
+The harness drives pipelines itself (built by
+:func:`repro.simulation.runner.make_pipeline`, as ``simulate`` does) so
+it can attach a :class:`CommitAuditor` tracer, which the public runner
+deliberately does not expose: it records per-``(seq, stream)``
+fetch/commit counts and the primary-stream commit order, the raw
+material for the commit-exactly-once and oracle-match invariants.
 
 Everything here is read-only with respect to the models: the harness
 never reaches into pipeline state, it only observes stats and events.
@@ -20,7 +20,7 @@ from ..core import MachineConfig, SimStats
 from ..core.pipeline import DeadlockError
 from ..redundancy import FaultInjector
 from ..reuse import IRBConfig
-from ..simulation.runner import _IRB_MODELS, MODELS
+from ..simulation.runner import make_pipeline
 from ..telemetry.events import STAGE_COMMIT, STAGE_FETCH, InstEvent, Tracer
 from ..telemetry.record import TeeTracer
 from ..workloads import Trace
@@ -103,11 +103,7 @@ def run_model(
     fault_injector: Optional[FaultInjector] = None,
 ) -> ModelRun:
     """Run one timing model over ``trace``, catching deadlocks as data."""
-    cls = MODELS[model]
-    if model in _IRB_MODELS:
-        pipeline = cls(trace, config, irb_config)  # type: ignore[call-arg]
-    else:
-        pipeline = cls(trace, config)
+    pipeline = make_pipeline(model, trace, config, irb_config)
     auditor = CommitAuditor() if audit else None
     sinks = [sink for sink in (auditor, tracer) if sink is not None]
     if len(sinks) == 1:
@@ -116,7 +112,7 @@ def run_model(
         pipeline.tracer = TeeTracer(*sinks)
     if fault_injector is not None:
         pipeline.fault_injector = fault_injector
-    run = ModelRun(model=model, auditor=auditor, streams=cls.STREAMS)
+    run = ModelRun(model=model, auditor=auditor, streams=pipeline.STREAMS)
     pipeline.warm_up()
     try:
         run.stats = pipeline.run()
@@ -129,7 +125,6 @@ def run_case(
     trace: Trace,
     models: Sequence[str],
     config: Optional[MachineConfig] = None,
-    irb_config: Optional[IRBConfig] = None,
     fault_injectors: Optional[Dict[str, FaultInjector]] = None,
 ) -> CaseResult:
     """Run ``trace`` through every requested model with auditing on.
@@ -146,7 +141,6 @@ def run_case(
             trace,
             model,
             config=config,
-            irb_config=irb_config,
             fault_injector=injector,
         )
     return result

@@ -124,8 +124,7 @@ class TestStoreRoundTrip:
             assert getattr(rebuilt, f.name) == getattr(stats, f.name), f.name
 
     def test_fu_dict_keys_survive_as_enums(self):
-        stats = SimStats(cycles=10, committed=8)
-        stats.count_fu_issue(FUClass.INT_ALU)
+        stats = SimStats(cycles=10, committed=8, fu_issued={FUClass.INT_ALU: 1})
         rebuilt = stats_from_dict(stats_to_dict(stats))
         assert rebuilt.fu_issued == {FUClass.INT_ALU: 1}
 

@@ -169,6 +169,20 @@ class TestCampaignCommand:
         assert main(["campaign", "F99"]) == 2
         assert "F2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["experiment", "F5", "--apps", "nosuch", "--n", "500"],
+             "unknown workloads: nosuch"),
+            (["campaign", "F5", "--apps", ",", "--n", "500", "--no-store"],
+             "no workloads given"),
+        ],
+        ids=["experiment-unknown-apps", "campaign-empty-apps"],
+    )
+    def test_bad_apps_fail_cleanly(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestJsonOutput:
     def test_json_mode_emits_valid_json(self, capsys):

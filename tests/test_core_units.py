@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import DUPLICATE, DynInst, FUPool, MachineConfig, PRIMARY, SimStats
+from helpers import addi, straightline
+from repro.core import DUPLICATE, DynInst, MachineConfig, OOOPipeline, PRIMARY, SimStats
 from repro.isa import FUClass, Opcode, OpTiming, op_latency, op_timing
+from repro.isa.registers import fp_reg
 from repro.isa.instruction import TraceInst
 
 
@@ -49,37 +51,59 @@ class TestOpTiming:
             OpTiming(latency=2, init_interval=3)
 
 
+def _issue_rig(ops, **fu_counts):
+    """A pipeline over ``straightline(ops)`` and one fresh entry per op."""
+    trace = straightline(ops)
+    pipeline = OOOPipeline(trace, MachineConfig(**fu_counts))
+    return pipeline, [DynInst(inst, PRIMARY) for inst in trace.insts]
+
+
+DIV_ROW = (Opcode.DIV, 3, 1, 2, None)
+
+
 class TestFUPool:
+    """Unit occupancy as the issue stage claims it (``_try_issue``)."""
+
     def test_pipelined_unit_accepts_every_cycle(self):
-        pool = FUPool({FUClass.INT_ALU: 1})
-        timing = OpTiming(latency=1)
-        assert pool.issue(FUClass.INT_ALU, 0, timing)
-        assert not pool.issue(FUClass.INT_ALU, 0, timing)
-        assert pool.issue(FUClass.INT_ALU, 1, timing)
+        pipeline, insts = _issue_rig([addi(1, 0, 1)] * 3, int_alu=1)
+        units = pipeline.fu.units(FUClass.INT_ALU)
+        assert pipeline._try_issue(insts[0], 0, units)
+        assert not pipeline._try_issue(insts[1], 0, units)
+        assert pipeline._try_issue(insts[1], 1, units)
 
     def test_n_units_give_n_slots_per_cycle(self):
-        pool = FUPool({FUClass.INT_ALU: 4})
-        timing = OpTiming(latency=1)
-        issued = sum(pool.issue(FUClass.INT_ALU, 0, timing) for _ in range(6))
+        pipeline, insts = _issue_rig([addi(1, 0, 1)] * 6, int_alu=4)
+        units = pipeline.fu.units(FUClass.INT_ALU)
+        issued = sum(pipeline._try_issue(inst, 0, units) for inst in insts)
         assert issued == 4
+        assert pipeline.stats.fu_issued == {FUClass.INT_ALU: 4}
 
     def test_unpipelined_blocks_for_interval(self):
-        pool = FUPool({FUClass.FP_MULDIV: 1})
-        timing = OpTiming(latency=12, init_interval=12)
-        assert pool.issue(FUClass.FP_MULDIV, 0, timing)
-        for cycle in range(1, 12):
-            assert not pool.issue(FUClass.FP_MULDIV, cycle, timing)
-        assert pool.issue(FUClass.FP_MULDIV, 12, timing)
+        pipeline, insts = _issue_rig(
+            [addi(1, 0, 7), addi(2, 0, 3), DIV_ROW, DIV_ROW], int_muldiv=1
+        )
+        first, second = insts[2:]
+        interval = first.dec.timing.init_interval
+        assert interval > 1  # DIV is unpipelined
+        units = pipeline.fu.units(FUClass.INT_MULDIV)
+        assert pipeline._try_issue(first, 0, units)
+        for cycle in range(1, interval):
+            assert not pipeline._try_issue(second, cycle, units)
+        assert pipeline._try_issue(second, interval, units)
+        assert pipeline.stats.fu_busy_cycles[FUClass.INT_MULDIV] == 2 * interval
 
     def test_absent_class_never_issues(self):
-        pool = FUPool({FUClass.INT_ALU: 1})
-        assert not pool.issue(FUClass.FP_ADD, 0, OpTiming(latency=1))
-        assert not pool.can_issue(FUClass.FP_ADD, 0)
+        pipeline, insts = _issue_rig([(Opcode.FADD, fp_reg(1), fp_reg(2), fp_reg(3), None)], fp_add=0)
+        units = pipeline.fu.units(FUClass.FP_ADD)
+        assert units == []
+        assert not pipeline._try_issue(insts[0], 0, units)
+        assert not insts[0].issued
 
     def test_free_units_counting(self):
-        pool = FUPool({FUClass.INT_ALU: 3})
-        pool.issue(FUClass.INT_ALU, 0, OpTiming(latency=1))
-        assert pool.free_units(FUClass.INT_ALU, 0) == 2
+        pipeline, insts = _issue_rig([addi(1, 0, 1)], int_alu=3)
+        units = pipeline.fu.units(FUClass.INT_ALU)
+        assert pipeline._try_issue(insts[0], 0, units)
+        assert sum(busy <= 0 for busy in units) == 2
 
 
 class TestMachineConfig:
@@ -147,8 +171,7 @@ class TestSimStats:
         assert stats.irb_reuse_rate == pytest.approx(0.3)
 
     def test_fu_utilization(self):
-        stats = SimStats(cycles=100)
-        stats.count_fu_issue(FUClass.INT_ALU, busy=2)
+        stats = SimStats(cycles=100, fu_busy_cycles={FUClass.INT_ALU: 2})
         assert stats.fu_utilization(FUClass.INT_ALU, 1) == pytest.approx(0.02)
         assert stats.fu_utilization(FUClass.FP_ADD, 2) == 0.0
 

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.reuse import IRB, IRBConfig, IRBEntry, PortArbiter
+from helpers import addi, straightline
+from repro.isa import Opcode
+from repro.reuse import IRB, DIEIRBPipeline, IRBConfig, IRBEntry, PortArbiter
 
 
 def drain_all(irb):
@@ -136,29 +138,36 @@ class TestCTRReplacement:
 class TestReuseTests:
     def test_value_match(self):
         entry = IRBEntry(pc=0x100, op1=5, op2=7, result=12)
-        assert entry.matches_values(5, 7)
-        assert not entry.matches_values(5, 8)
-        assert not entry.matches_values(None, 7)
+        assert entry.matches(5, 7)
+        assert not entry.matches(5, 8)
+        assert not entry.matches(None, 7)
 
     def test_value_match_with_absent_operand(self):
         entry = IRBEntry(pc=0x100, op1=5, op2=None, result=10)
-        assert entry.matches_values(5, None)
-        assert not entry.matches_values(5, 0)
+        assert entry.matches(5, None)
+        assert not entry.matches(5, 0)
 
-    def test_name_match_tracks_versions(self):
-        irb = IRB(IRBConfig(entries=16, name_based=True))
-        entry = IRBEntry(pc=0x100, op1=(3, 0), op2=(4, 0), result=9)
-        versions = irb.reg_versions
-        assert entry.matches_names((3, 4), versions)
-        irb.note_reg_write(3)
-        assert not entry.matches_names((3, 4), versions)
+    def test_name_operands_track_versions(self):
+        trace = straightline([(Opcode.ADD, 1, 3, 4, None)])
+        pipeline = DIEIRBPipeline(trace, irb_config=IRBConfig(entries=16, name_based=True))
+        inst = trace.insts[0]
+        entry = IRBEntry(inst.pc, *pipeline._name_operands(inst), result=9)
+        assert entry.matches(*pipeline._name_operands(inst))
+        pipeline.irb.note_reg_write(3)
+        assert not entry.matches(*pipeline._name_operands(inst))
 
-    def test_name_match_requires_same_registers(self):
-        entry = IRBEntry(pc=0x100, op1=(3, 0), op2=None, result=9)
-        versions = [0] * 64
-        assert entry.matches_names((3, None), versions)
-        assert not entry.matches_names((5, None), versions)
-        assert not entry.matches_names((3, 4), versions)
+    def test_name_operands_carry_register_ids(self):
+        trace = straightline(
+            [addi(1, 3, 1), addi(1, 5, 1), (Opcode.ADD, 1, 3, 4, None)]
+        )
+        pipeline = DIEIRBPipeline(trace, irb_config=IRBConfig(entries=16, name_based=True))
+        reads_r3, reads_r5, reads_r3_r4 = (
+            pipeline._name_operands(inst) for inst in trace.insts
+        )
+        entry = IRBEntry(0x100, *reads_r3, result=9)
+        assert entry.matches(*reads_r3)
+        assert not entry.matches(*reads_r5)
+        assert not entry.matches(*reads_r3_r4)
 
 
 class TestCorruption:

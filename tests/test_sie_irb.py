@@ -1,6 +1,9 @@
 """Tests for the classic SIE-IRB baseline [29]."""
 
+import pytest
+
 from repro.isa import FUClass, Opcode, int_reg
+from repro.reuse import IRBConfig
 from repro.simulation import simulate
 
 from helpers import addi, assemble
@@ -15,6 +18,12 @@ def repetitive_trace(iterations=12):
 
 
 class TestSieIrb:
+    def test_name_based_config_is_rejected(self):
+        # Only DIE-IRB implements the name-based variant; an ignored flag
+        # would give SIE-IRB's stats under a different job key.
+        with pytest.raises(ValueError, match="name_based"):
+            simulate(repetitive_trace(), "sie-irb", irb_config=IRBConfig(name_based=True))
+
     def test_reuse_happens_on_single_stream(self):
         result = simulate(repetitive_trace(), "sie-irb")
         assert result.stats.irb_reuse_hits > 20

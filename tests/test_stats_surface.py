@@ -6,9 +6,10 @@ import dataclasses
 
 import pytest
 
+from helpers import addi, straightline
 from repro.campaign.store import stats_from_dict, stats_to_dict
-from repro.core import MachineConfig, SimStats
-from repro.isa import FUClass
+from repro.core import MachineConfig, OOOPipeline, SimStats
+from repro.isa import FUClass, Opcode, op_timing
 from repro.simulation import run_workload
 
 
@@ -33,18 +34,26 @@ class TestFuUtilization:
         assert stats.fu_utilization(FUClass.INT_ALU, 1) == pytest.approx(0.5)
         assert stats.fu_utilization(FUClass.INT_ALU, 2) == pytest.approx(0.25)
 
-    def test_count_fu_issue_accumulates_busy(self):
-        stats = SimStats(cycles=10)
-        stats.count_fu_issue(FUClass.INT_MULDIV, busy=4)
-        stats.count_fu_issue(FUClass.INT_MULDIV, busy=4)
+    def test_issue_accumulates_busy(self):
+        # Two unpipelined divides on one unit: each issue holds the unit
+        # for the op's full initiation interval.
+        div = (Opcode.DIV, 3, 1, 2, None)
+        trace = straightline([addi(1, 0, 7), addi(2, 0, 3), div, div])
+        stats = OOOPipeline(trace, MachineConfig(int_muldiv=1)).run()
+        busy = 2 * op_timing(Opcode.DIV).init_interval
         assert stats.fu_issued[FUClass.INT_MULDIV] == 2
-        assert stats.fu_utilization(FUClass.INT_MULDIV, 1) == pytest.approx(0.8)
+        assert stats.fu_busy_cycles[FUClass.INT_MULDIV] == busy
+        assert stats.fu_utilization(FUClass.INT_MULDIV, 1) == pytest.approx(
+            busy / stats.cycles
+        )
 
 
 class TestDictRoundTrip:
     def test_to_dict_names_fu_classes_and_adds_ratios(self):
-        stats = SimStats(cycles=10, committed=20, branches=4, mispredicts=1)
-        stats.count_fu_issue(FUClass.INT_ALU)
+        stats = SimStats(
+            cycles=10, committed=20, branches=4, mispredicts=1,
+            fu_issued={FUClass.INT_ALU: 1},
+        )
         payload = stats.to_dict()
         assert payload["fu_issued"] == {"INT_ALU": 1}
         assert payload["ipc"] == pytest.approx(2.0)
@@ -52,8 +61,10 @@ class TestDictRoundTrip:
         assert payload["irb_reuse_rate"] == 0.0  # no lookups: no div-by-zero
 
     def test_store_round_trip_restores_enum_keys(self):
-        stats = SimStats(cycles=7, committed=3, dispatch_stall_ruu=2)
-        stats.count_fu_issue(FUClass.FP_MULDIV, busy=3)
+        stats = SimStats(
+            cycles=7, committed=3, dispatch_stall_ruu=2,
+            fu_issued={FUClass.FP_MULDIV: 1}, fu_busy_cycles={FUClass.FP_MULDIV: 3},
+        )
         rebuilt = stats_from_dict(stats_to_dict(stats))
         assert rebuilt == stats
         assert FUClass.FP_MULDIV in rebuilt.fu_issued
