@@ -114,10 +114,6 @@ class ResultStore:
     def path_for(self, key: str) -> Path:
         return self.backend.path_for(KIND_RESULT, key)
 
-    def profile_path_for(self, key: str) -> Path:
-        """A run profile lives next to its result, same content key."""
-        return self.backend.path_for(KIND_PROFILE, key)
-
     def fuzz_path_for(self, key: str) -> Path:
         """A fuzz-corpus entry; standalone (no parent result entry)."""
         return self.backend.path_for(KIND_FUZZ, key)

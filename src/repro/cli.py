@@ -1008,7 +1008,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
     print(
         f"fuzz: {report.cases} case(s) over {len(report.models)} model(s), "
-        f"{len(report.findings)} divergence(s), {report.exempted} exempted"
+        f"{len(report.findings)} divergence(s)"
     )
     for finding in report.findings:
         shrunk = (

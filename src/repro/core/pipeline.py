@@ -117,6 +117,12 @@ class OOOPipeline:
     #: *before* constructing entries it would immediately discard.
     DISPATCH_ENTRIES = 1
 
+    #: True when primary-stream results wake the waiting entries of
+    #: *both* streams (Section 3.3's DIE-IRB property): every entry then
+    #: links its sources through the primary stream's producer table.
+    #: False: each entry links through its own stream's table.
+    WAKE_FROM_PRIMARY = False
+
     name = "SIE"
 
     #: Read by e2ebench's ``core.ff_frac``; always 0 (no cycle is skipped).
@@ -151,8 +157,9 @@ class OOOPipeline:
         self.fetch_resume_cycle = 0
         self.fetch_blocked_seq: Optional[int] = None
         self._last_fetch_block: Optional[int] = None
-        # decode queue entries: (dispatchable_cycle, TraceInst)
-        self.decode_q: Deque[Tuple[int, TraceInst]] = deque()
+        # decode queue entries: (dispatchable_cycle, TraceInst, stream);
+        # the stream is the fetching context's (always PRIMARY but in SRT).
+        self.decode_q: Deque[Tuple[int, TraceInst, int]] = deque()
         # A shallow fetch/dispatch queue (2 fetch groups), as in
         # SimpleScalar's IFQ: deep queues would stretch branch-resolution
         # time artificially when dispatch bandwidth halves under DIE.
@@ -205,13 +212,9 @@ class OOOPipeline:
     # Hooks overridden by DIE / DIE-IRB
     # ==================================================================
 
-    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
-        """Build the RUU entries for one trace instruction."""
-        return [DynInst(inst, PRIMARY)]
-
-    def _hook_source_stream(self, inst: DynInst) -> int:
-        """Which stream's producer table feeds ``inst``'s sources."""
-        return inst.stream
+    def _hook_make_entries(self, inst: TraceInst, stream: int) -> List[DynInst]:
+        """Build the RUU entries for one decode-queue entry of ``stream``."""
+        return [DynInst(inst, stream)]
 
     def _hook_effective_producer(self, inst: DynInst, producer: DynInst) -> DynInst:
         """Map a named producer to the instruction that delivers the value."""
@@ -247,9 +250,6 @@ class OOOPipeline:
 
     def _hook_post_commit(self, insts: List[DynInst]) -> None:
         """Called with every DynInst retired this cycle (IRB update point)."""
-
-    def _hook_decode_consumed(self) -> None:
-        """A decode-queue entry was accepted for dispatch (SMT bookkeeping)."""
 
     def _hook_dispatch_blocked(self, inst: TraceInst) -> None:
         """Dispatch rejected the decode head (RUU/LSQ full) this cycle.
@@ -556,19 +556,19 @@ class OOOPipeline:
         lsq_size = config.lsq_size
         need = self.DISPATCH_ENTRIES
         producers = self._producers
-        source_stream = self._hook_source_stream
+        shared_table = producers[PRIMARY] if self.WAKE_FROM_PRIMARY else None
         effective_producer = self._hook_effective_producer
         on_ready = self._hook_on_ready
         tracer = self.tracer
         tracing = tracer is not NULL_TRACER
         while budget > 0 and decode_q:
-            ready_at, trace_inst = decode_q[0]
+            ready_at, trace_inst, stream = decode_q[0]
             if ready_at > cycle:
                 break
             if need > budget:
                 # Construction side effects (IRB probe accounting) happen
                 # even for a group that does not fit the cycle's budget.
-                self._hook_make_entries(trace_inst)
+                self._hook_make_entries(trace_inst, stream)
                 break
             if len(ruu) + need > ruu_size:
                 stats.dispatch_stall_ruu += 1
@@ -578,9 +578,8 @@ class OOOPipeline:
                 stats.dispatch_stall_lsq += 1
                 self._hook_dispatch_blocked(trace_inst)
                 break
-            entries = self._hook_make_entries(trace_inst)
+            entries = self._hook_make_entries(trace_inst, stream)
             decode_q.popleft()
-            self._hook_decode_consumed()
             src1 = trace_inst.src1
             src2 = trace_inst.src2
             # Two-phase dispatch: link every entry's sources before
@@ -602,7 +601,9 @@ class OOOPipeline:
                     self.lsq_count += 1
                     entry.in_lsq = True
                 # Register 0 is hardwired: it never waits on a producer.
-                table = producers[source_stream(entry)]
+                table = (
+                    producers[entry.stream] if shared_table is None else shared_table
+                )
                 pending = 0
                 if src1:
                     producer = table[src1]
@@ -637,14 +638,23 @@ class OOOPipeline:
             return
         if cycle < self.fetch_resume_cycle:
             return
-        decode_q = self.decode_q
-        if len(decode_q) >= self._decode_cap:
+        if len(self.decode_q) >= self._decode_cap:
             return
+        if self.fetch_index < len(self.trace.insts):
+            self._fetch_group(cycle)
+
+    def _fetch_group(self, cycle: int) -> None:
+        """Fetch one group of the primary context from ``fetch_index``.
+
+        The caller has checked the guards (redirect, resume cycle, queue
+        room, instructions left).  The group ends at ``fetch_width``
+        instructions, an I-cache miss, a mispredicted branch or the first
+        taken (or predicted-taken) branch.
+        """
+        decode_q = self.decode_q
         insts = self.trace.insts
         total = len(insts)
         index = self.fetch_index
-        if index >= total:
-            return
         decoded = self._decoded
         dec_ops = decoded.ops
         blocks = decoded.blocks
@@ -670,7 +680,7 @@ class OOOPipeline:
                 mispredicted, predicted_taken = self._predict(inst, dec)
             else:
                 mispredicted = predicted_taken = False
-            decode_q.append((dispatch_at, inst))
+            decode_q.append((dispatch_at, inst, PRIMARY))
             stats.fetched += 1
             index += 1
             budget -= 1

@@ -1,6 +1,6 @@
 """Instruction-level temporal redundancy: DIE, the checker, and faults."""
 
-from .checker import CheckerStats, CommitChecker
+from .checker import CommitChecker
 from .clustered import (
     DIEClusterReplicatedPipeline,
     DIEClusterSplitPipeline,
@@ -23,7 +23,6 @@ from .sphere import DIE_IRB_SPHERE, DIE_SPHERE, SphereOfReplication
 from .srt import SRTPipeline
 
 __all__ = [
-    "CheckerStats",
     "CommitChecker",
     "DIEClusterReplicatedPipeline",
     "DIEClusterSplitPipeline",

@@ -1,35 +1,22 @@
-"""Commit-stage output checker for Dual Instruction Execution."""
+"""Commit-stage output checker for DIE and SRT."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core import DynInst
-
-
-@dataclass
-class CheckerStats:
-    """Accounting of the commit-time pair comparisons."""
-
-    checked: int = 0
-    mismatches: int = 0
-
-    @property
-    def mismatch_rate(self) -> float:
-        return self.mismatches / self.checked if self.checked else 0.0
 
 
 class CommitChecker:
     """Compares each (primary, duplicate) pair before retirement.
 
-    Outputs compared are: the result value for computational instructions,
-    the effective address for loads/stores (the only part both streams
-    compute — the access itself happens once, outside the Sphere of
-    Replication), and the resolved next PC for control flow.
+    The one output comparator of every redundant model: DIE checks each
+    dispatched pair, SRT each trailing instruction against its leading
+    copy.  Outputs compared are: the result value for computational
+    instructions, the effective address for loads/stores (the only part
+    both streams compute — the access itself happens once, outside the
+    Sphere of Replication), and the resolved next PC for control flow.
+    The verdicts are counted in ``SimStats`` (``pairs_checked``,
+    ``check_mismatches``) by the model that acts on them.
     """
-
-    def __init__(self) -> None:
-        self.stats = CheckerStats()
 
     def check(self, primary: DynInst, duplicate: DynInst) -> bool:
         """True if the pair's outputs agree (safe to retire)."""
@@ -39,8 +26,4 @@ class CommitChecker:
             raise ValueError(
                 f"checker given mismatched pair: {primary.seq} vs {duplicate.seq}"
             )
-        self.stats.checked += 1
-        agree = primary.output() == duplicate.output()
-        if not agree:
-            self.stats.mismatches += 1
-        return agree
+        return primary.output() == duplicate.output()

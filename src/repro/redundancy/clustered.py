@@ -8,29 +8,29 @@ and inter-cluster communication delays, while a *replicated* cluster
 transistors could have sped up SIE instead.  The paper leaves the
 quantitative comparison to future work; this module supplies it.
 
-Two variants of :class:`DIEClusteredPipeline`:
+Two variants of :class:`DIEClusteredPipeline`, chosen by its
+``REPLICATED`` class attribute:
 
-* ``split`` — each stream issues to its own cluster holding half the
-  baseline FU complement and half the issue width.
-* ``replicated`` — each cluster holds the *full* baseline complement
-  (the spatial-redundancy-like configuration).
+* :class:`DIEClusterSplitPipeline` — each stream issues to its own
+  cluster holding half the baseline FU complement.
+* :class:`DIEClusterReplicatedPipeline` — each cluster holds the *full*
+  baseline complement (the spatial-redundancy-like configuration).
 
-Values crossing clusters (the single memory access feeding a duplicate
-consumer, and any IRB-free cross-stream communication) pay an
-inter-cluster forwarding delay.
+Either way a cluster gets half the issue width.  Values crossing clusters
+(the single memory access feeding a duplicate consumer, and any IRB-free
+cross-stream communication) pay an inter-cluster forwarding delay.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from ..core import MachineConfig
 from ..core.dyninst import DynInst
 from ..core.fu import FUPool
 from ..isa import FUClass
 from ..workloads import Trace
-from .checker import CommitChecker
 from .die import DIEPipeline
 
 
@@ -46,25 +46,20 @@ def _half_counts(config: MachineConfig) -> Dict[FUClass, int]:
 
 
 class DIEClusteredPipeline(DIEPipeline):
-    """DIE with per-stream execution clusters."""
+    """DIE with per-stream execution clusters (declare ``REPLICATED``)."""
 
     name = "DIE-Clustered"
 
-    def __init__(
-        self,
-        trace: Trace,
-        config: Optional[MachineConfig] = None,
-        variant: str = "split",
-        intercluster_delay: int = 2,
-        checker: Optional[CommitChecker] = None,
-    ):
-        super().__init__(trace, config, checker)
-        if variant not in ("split", "replicated"):
-            raise ValueError(f"unknown cluster variant {variant!r}")
-        self.variant = variant
-        self.intercluster_delay = intercluster_delay
+    #: True: a full FU complement per cluster; False: half of it.
+    REPLICATED: ClassVar[bool]
+
+    #: Extra wakeup cycles for a value crossing to the other cluster.
+    INTERCLUSTER_DELAY = 2
+
+    def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
+        super().__init__(trace, config)
         counts = (
-            self.config.fu_counts if variant == "replicated" else _half_counts(self.config)
+            self.config.fu_counts if self.REPLICATED else _half_counts(self.config)
         )
         # One FU pool and one issue width per stream: the lanes replace
         # the base class's, which drew on the shared pool.
@@ -78,7 +73,7 @@ class DIEClusteredPipeline(DIEPipeline):
         # consumer in the other (the paper's "long inter-cluster
         # communication delays").
         if producer.stream != consumer.stream:
-            return self.intercluster_delay
+            return self.INTERCLUSTER_DELAY
         return 0
 
     def _hook_on_ready(self, inst: DynInst, cycle: int) -> None:
@@ -89,12 +84,10 @@ class DIEClusteredPipeline(DIEPipeline):
 
 
 class DIEClusterSplitPipeline(DIEClusteredPipeline):
-    """Split clustering: half the FU complement and issue width per stream."""
+    """Split clustering: half the FU complement per stream."""
 
     name = "DIE-Cluster-Split"
-
-    def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
-        super().__init__(trace, config, variant="split")
+    REPLICATED = False
 
 
 class DIEClusterReplicatedPipeline(DIEClusteredPipeline):
@@ -105,6 +98,4 @@ class DIEClusterReplicatedPipeline(DIEClusteredPipeline):
     """
 
     name = "DIE-Cluster-Repl"
-
-    def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
-        super().__init__(trace, config, variant="replicated")
+    REPLICATED = True

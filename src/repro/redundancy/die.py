@@ -28,12 +28,7 @@ class DIEPipeline(OOOPipeline):
     DISPATCH_ENTRIES = 2
     name = "DIE"
 
-    def __init__(
-        self,
-        trace: Trace,
-        config: Optional[MachineConfig] = None,
-        checker: Optional[CommitChecker] = None,
-    ):
+    def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
         super().__init__(trace, config)
         if self.config.decode_width < 2 or self.config.commit_width < 2:
             raise ValueError(
@@ -41,11 +36,11 @@ class DIEPipeline(OOOPipeline):
                 "decode_width and commit_width must be >= 2 "
                 f"(got {self.config.decode_width}/{self.config.commit_width})"
             )
-        self.checker = checker if checker is not None else CommitChecker()
+        self.checker = CommitChecker()
 
     # ------------------------------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
+    def _hook_make_entries(self, inst: TraceInst, stream: int) -> List[DynInst]:
         primary = DynInst(inst, PRIMARY)
         duplicate = DynInst(inst, DUPLICATE)
         primary.pair = duplicate

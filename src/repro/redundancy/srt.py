@@ -12,24 +12,26 @@ Model summary:
 
 * one shared out-of-order core; fetch alternates between the leading and
   trailing contexts, one context per cycle;
-* the trailing fetch follows the leading fetch at a configurable slack
-  (in instructions) and is steered by the branch-outcome queue: it never
-  probes the predictor and never misfetches;
+* the leading context fetches through the core's own fetch group
+  (prediction, I-cache, BTB and RAS); the trailing fetch follows it at a
+  fixed slack (in instructions) and is steered by the branch-outcome
+  queue: it never probes the predictor and never misfetches;
 * trailing loads/stores perform address calculation only; values come
   from the load-value queue (memory is accessed once, outside the sphere
   of replication, as in DIE);
 * the leading thread retires into a bounded output buffer; the trailing
-  thread's retirement checks against it — a mismatch triggers the rewind
-  of both contexts.
+  thread's retirement checks each instruction against its leading copy
+  through the same :class:`~.checker.CommitChecker` DIE uses — a mismatch
+  triggers the rewind of both contexts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core import MachineConfig, OOOPipeline, SimStats
+from ..core import MachineConfig, OOOPipeline
 from ..core.dyninst import DUPLICATE, PRIMARY, DynInst
-from ..isa import TraceInst
+from ..telemetry.events import NULL_TRACER, CheckEvent
 from ..workloads import Trace
 from .checker import CommitChecker
 
@@ -47,25 +49,18 @@ class SRTPipeline(OOOPipeline):
     DISPATCH_ENTRIES = 1
     name = "SRT"
 
-    def __init__(
-        self,
-        trace: Trace,
-        config: Optional[MachineConfig] = None,
-        slack: int = 64,
-        checker: Optional[CommitChecker] = None,
-    ):
+    #: Instructions the trailing fetch stays behind the leading one.
+    SLACK = 64
+
+    def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
         super().__init__(trace, config)
-        if slack < 1:
-            raise ValueError("slack must be >= 1 instruction")
-        self.slack = slack
-        self.checker = checker if checker is not None else CommitChecker()
+        self.checker = CommitChecker()
         # Second fetch cursor (base class fetch_index drives the leader).
         self.trail_index = 0
         self.trail_committed = 0
-        # Leading outputs awaiting the trailing check: seq -> output value.
-        self._lead_outputs: Dict[int, object] = {}
-        # Stream tags aligned with decode_q order.
-        self._decode_streams: List[int] = []
+        # The output buffer: committed leading entries awaiting the
+        # trailing check, by seq.
+        self._output_buffer: Dict[int, DynInst] = {}
 
     # ==================================================================
     # Fetch: two contexts, one per cycle, slack-coupled
@@ -82,7 +77,7 @@ class SRTPipeline(OOOPipeline):
         for stream in order:
             if stream == LEADING:
                 if self._can_fetch_leading(cycle) and self.fetch_index < total:
-                    self._fetch_leading(cycle)
+                    self._fetch_group(cycle)
                     return
             else:
                 if self._can_fetch_trailing() and self.trail_index < total:
@@ -96,58 +91,19 @@ class SRTPipeline(OOOPipeline):
         if cycle < self.fetch_resume_cycle:
             return False
         # The output buffer bounds how far the leader may run ahead.
-        return self.fetch_index - self.trail_committed < self.slack * 4
+        return self.fetch_index - self.trail_committed < self.SLACK * 4
 
     def _trail_limit(self) -> int:
         """How far the trailer may fetch: slack behind the leader, except
         at the end of the trace where the leader has nothing left."""
         if self.fetch_index >= len(self.trace):
             return self.fetch_index
-        return self.fetch_index - self.slack
+        return self.fetch_index - self.SLACK
 
     def _can_fetch_trailing(self) -> bool:
-        # Slack fetch: the trailer stays `slack` instructions behind, so
+        # Slack fetch: the trailer stays SLACK instructions behind, so
         # branch outcomes and load values are waiting when it arrives.
         return self.trail_index < self._trail_limit()
-
-    def _fetch_leading(self, cycle: int) -> None:
-        insts = self.trace.insts
-        total = len(insts)
-        decoded = self._decoded
-        dec_ops = decoded.ops
-        blocks = decoded.blocks
-        index = self.fetch_index
-        budget = self.config.fetch_width
-        dispatch_at = cycle + self.config.frontend_latency
-        while budget > 0 and index < total:
-            inst = insts[index]
-            block = blocks[index]
-            if block != self._last_fetch_block:
-                latency = self.hier.fetch(inst.pc, cycle)
-                self._last_fetch_block = block
-                if latency > self._icache_hit_latency:
-                    self.fetch_resume_cycle = cycle + latency
-                    self.stats.fetch_stall_icache += 1
-                    self.fetch_index = index
-                    return
-            dec = dec_ops[index]
-            if dec.branch:
-                mispredicted, predicted_taken = self._predict(inst, dec)
-            else:
-                mispredicted = predicted_taken = False
-            self.decode_q.append((dispatch_at, inst))
-            self._decode_streams.append(LEADING)
-            self.stats.fetched += 1
-            index += 1
-            budget -= 1
-            if mispredicted:
-                self.fetch_blocked_seq = inst.seq
-                self.fetch_index = index
-                return
-            if dec.branch and (predicted_taken or inst.taken):
-                self.fetch_index = index
-                return
-        self.fetch_index = index
 
     def _fetch_trailing(self, cycle: int) -> None:
         insts = self.trace.insts
@@ -161,9 +117,9 @@ class SRTPipeline(OOOPipeline):
             dec = dec_ops[index]
             # Branch outcomes come from the queue: no prediction, no
             # misfetch, and no I-cache charge (the line is resident from
-            # the leader's pass).
-            self.decode_q.append((dispatch_at, inst))
-            self._decode_streams.append(TRAILING)
+            # the leader's pass).  The fetch is not counted: ``fetched``
+            # counts the instruction stream once, as the leader fetches it.
+            self.decode_q.append((dispatch_at, inst, TRAILING))
             index += 1
             budget -= 1
             if dec.branch and inst.taken:
@@ -171,43 +127,35 @@ class SRTPipeline(OOOPipeline):
         self.trail_index = index
 
     # ==================================================================
-    # Dispatch: entries carry their context's stream
-    # ==================================================================
-
-    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
-        # Peek: dispatch may still reject this entry (RUU/LSQ full); the
-        # tag is consumed in _hook_decode_consumed once it is accepted.
-        return [DynInst(inst, self._decode_streams[0])]
-
-    def _hook_decode_consumed(self) -> None:
-        self._decode_streams.pop(0)
-
-    # ==================================================================
     # Commit: leader fills the output buffer, trailer checks it
     # ==================================================================
 
     def _hook_commit(self, budget: int) -> int:
         used = 0
-        while self.ruu and used < budget:
-            head = self.ruu[0]
+        ruu = self.ruu
+        stats = self.stats
+        tracer = self.tracer
+        while ruu and used < budget:
+            head = ruu[0]
             if not head.complete:
                 break
             if head.stream == LEADING:  # simlint: disable=SL102
                 # Leader commits are deliberately uncounted: each pair is
                 # accounted exactly once, when the trailer checks it below.
-                self._lead_outputs[head.seq] = head.output()
+                self._output_buffer[head.seq] = head
             else:
-                expected = self._lead_outputs.pop(head.seq, None)
-                self.checker.stats.checked += 1
-                self.stats.pairs_checked += 1
-                if expected != head.output():
-                    self.checker.stats.mismatches += 1
+                lead = self._output_buffer.pop(head.seq)
+                ok = self.checker.check(lead, head)
+                stats.pairs_checked += 1
+                if tracer is not NULL_TRACER:
+                    tracer.emit(CheckEvent(self.cycle, head.seq, ok))
+                if not ok:
                     self._recover(head)
                     break
                 self.trail_committed += 1
                 self.committed_arch += 1
-                self.stats.committed += 1
-            self.ruu.popleft()
+                stats.committed += 1
+            ruu.popleft()
             self._retire(head)
             used += 1
         return used
@@ -222,13 +170,6 @@ class SRTPipeline(OOOPipeline):
     def squash_and_refetch(self, seq: int) -> None:
         super().squash_and_refetch(seq)
         self.trail_index = seq
-        self._decode_streams.clear()
-        self._lead_outputs = {
-            s: v for s, v in self._lead_outputs.items() if s < seq
+        self._output_buffer = {
+            s: lead for s, lead in self._output_buffer.items() if s < seq
         }
-
-    # ==================================================================
-
-    def run(self, max_cycles: Optional[int] = None) -> SimStats:
-        stats = super().run(max_cycles)
-        return stats

@@ -6,7 +6,7 @@ from .entry import IRBEntry
 from .irb import IRB, IRBConfig, IRBStats
 from .ports import PortArbiter
 from .sie_irb import SIEIRBPipeline
-from .valuepred import DIEVPPipeline, StrideValuePredictor, VPConfig
+from .valuepred import DIEVPPipeline, StrideValuePredictor
 
 __all__ = [
     "DIEIRBFwdPipeline",
@@ -19,5 +19,4 @@ __all__ = [
     "SIEIRBPipeline",
     "DIEVPPipeline",
     "StrideValuePredictor",
-    "VPConfig",
 ]

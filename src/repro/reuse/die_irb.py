@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core import MachineConfig
-from ..core.dyninst import PRIMARY, DynInst
+from ..core.dyninst import DynInst
 from ..isa import TraceInst
-from ..redundancy import CommitChecker, DIEPipeline
+from ..redundancy import DIEPipeline
 from ..workloads import Trace
 from .entry import IRBEntry
 from .irb import IRBConfig, IRBFrontEnd
@@ -39,22 +39,25 @@ class DIEIRBPipeline(IRBFrontEnd, DIEPipeline):
     #: The duplicate probes; the primary always executes on the FUs.
     PROBE_ENTRY = 1
 
+    #: Section 3.3: results from the primary stream wake waiting
+    #: instructions of BOTH streams, so the IRB never forwards.
+    WAKE_FROM_PRIMARY = True
+
     def __init__(
         self,
         trace: Trace,
         config: Optional[MachineConfig] = None,
         irb_config: Optional[IRBConfig] = None,
-        checker: Optional[CommitChecker] = None,
     ):
-        super().__init__(trace, config, checker)
+        super().__init__(trace, config)
         self._attach_irb(irb_config)
 
     # ------------------------------------------------------------------
     # Name-based operands (Section 3.3's variant)
     # ------------------------------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
-        entries = super()._hook_make_entries(inst)
+    def _hook_make_entries(self, inst: TraceInst, stream: int) -> List[DynInst]:
+        entries = super()._hook_make_entries(inst, stream)
         if self.irb.config.name_based:
             # Capture operand names at rename time — versions seen at the
             # instruction's own dispatch.  Comparing two instances'
@@ -81,13 +84,8 @@ class DIEIRBPipeline(IRBFrontEnd, DIEPipeline):
         return op1, op2
 
     # ------------------------------------------------------------------
-    # Wakeup: primary results feed both streams; hits bypass execute
+    # Reuse hits bypass execute
     # ------------------------------------------------------------------
-
-    def _hook_source_stream(self, inst: DynInst) -> int:
-        # Section 3.3: results from the primary stream wake waiting
-        # instructions of BOTH streams, so the IRB never forwards.
-        return PRIMARY
 
     def _reuse_complete(self, inst: DynInst, entry: IRBEntry, cycle: int) -> None:
         """Bypass execute: take the IRB result, go straight to completion."""

@@ -15,7 +15,6 @@ the difference is small.
 
 from __future__ import annotations
 
-from ..core.dyninst import DynInst
 from .die_irb import DIEIRBPipeline
 
 
@@ -24,8 +23,7 @@ class DIEIRBFwdPipeline(DIEIRBPipeline):
 
     name = "DIE-IRB-Fwd"
 
-    def _hook_source_stream(self, inst: DynInst) -> int:
-        # Each stream wakes from its own producers; a duplicate that
-        # reuse-completed early therefore forwards to duplicate dependents
-        # ahead of the primary's execution (the IRB acting as an FU).
-        return inst.stream
+    #: Each stream wakes from its own producers; a duplicate that
+    #: reuse-completed early therefore forwards to duplicate dependents
+    #: ahead of the primary's execution (the IRB acting as an FU).
+    WAKE_FROM_PRIMARY = False

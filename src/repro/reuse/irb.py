@@ -259,8 +259,8 @@ class IRBFrontEnd:
     # Fetch side: pipelined PC probe
     # ------------------------------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
-        entries = super()._hook_make_entries(inst)
+    def _hook_make_entries(self, inst: TraceInst, stream: int) -> List[DynInst]:
+        entries = super()._hook_make_entries(inst, stream)
         prober = entries[self.PROBE_ENTRY]
         if prober.dec.reusable:
             entry = self._probe_pc(inst.pc, inst.opcode)

@@ -20,29 +20,20 @@ The interesting contrast with the IRB:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core import MachineConfig
 from ..core.dyninst import PRIMARY, DynInst
 from ..isa import TraceInst
-from ..redundancy import CommitChecker, DIEPipeline
+from ..redundancy import DIEPipeline
+from ..telemetry.events import (
+    IRB_LOOKUP,
+    IRB_PC_HIT,
+    IRB_REUSE_HIT,
+    NULL_TRACER,
+    IRBEvent,
+)
 from ..workloads import Trace
-
-
-@dataclass
-class VPConfig:
-    """Stride value predictor parameters."""
-
-    entries: int = 1024
-    confidence_bits: int = 2
-    threshold: int = 2  # minimum confidence to emit a prediction
-
-    def __post_init__(self) -> None:
-        if self.entries < 1 or self.entries & (self.entries - 1):
-            raise ValueError("entries must be a positive power of two")
-        if not 1 <= self.threshold <= (1 << self.confidence_bits) - 1:
-            raise ValueError("threshold must fit the confidence counter")
 
 
 class _Entry:
@@ -57,15 +48,20 @@ class _Entry:
 class StrideValuePredictor:
     """Classic last-value + stride predictor with confidence counters."""
 
-    def __init__(self, config: Optional[VPConfig] = None):
-        self.config = config if config is not None else VPConfig()
+    #: Table entries (direct-mapped by PC), as many as the paper's IRB.
+    ENTRIES = 1024
+    #: Saturating confidence counter ceiling (2 bits).
+    MAX_CONFIDENCE = 3
+    #: Minimum confidence to emit a prediction.
+    THRESHOLD = 2
+
+    def __init__(self) -> None:
         self._table: Dict[int, _Entry] = {}
-        self._max_conf = (1 << self.config.confidence_bits) - 1
         self.lookups = 0
         self.predictions = 0
 
     def _index(self, pc: int) -> int:
-        return (pc >> 2) & (self.config.entries - 1)
+        return (pc >> 2) & (self.ENTRIES - 1)
 
     def predict(self, pc: int, ahead: int = 1) -> Optional[object]:
         """A confident prediction for ``pc``'s next outcome, or ``None``.
@@ -77,7 +73,7 @@ class StrideValuePredictor:
         """
         self.lookups += 1
         entry = self._table.get(self._index(pc))
-        if entry is None or entry.confidence < self.config.threshold:
+        if entry is None or entry.confidence < self.THRESHOLD:
             return None
         self.predictions += 1
         if isinstance(entry.last, int) and isinstance(entry.stride, int):
@@ -94,14 +90,14 @@ class StrideValuePredictor:
         if isinstance(actual, int) and isinstance(entry.last, int):
             stride = actual - entry.last
             if stride == entry.stride:
-                if entry.confidence < self._max_conf:
+                if entry.confidence < self.MAX_CONFIDENCE:
                     entry.confidence += 1
             else:
                 entry.stride = stride
                 entry.confidence = 0
         else:
             if actual == entry.last:
-                if entry.confidence < self._max_conf:
+                if entry.confidence < self.MAX_CONFIDENCE:
                     entry.confidence += 1
             else:
                 entry.confidence = 0
@@ -114,20 +110,19 @@ class DIEVPPipeline(DIEPipeline):
     Statistics map onto the IRB fields for comparability: ``irb_lookups``
     = duplicate predictions attempted, ``irb_pc_hits`` = confident
     predictions issued, ``irb_reuse_hits`` = predictions verified correct
-    (duplicate bypassed the ALUs).
+    (duplicate bypassed the ALUs).  Each count emits the matching
+    ``IRBEvent``, so traces and sampled runs see the same funnel.
     """
 
     name = "DIE-VP"
 
-    def __init__(
-        self,
-        trace: Trace,
-        config: Optional[MachineConfig] = None,
-        vp_config: Optional[VPConfig] = None,
-        checker: Optional[CommitChecker] = None,
-    ):
-        super().__init__(trace, config, checker)
-        self.vp = StrideValuePredictor(vp_config)
+    #: As in DIE-IRB: primary results wake both streams, so a failed
+    #: prediction can issue as soon as verification fails.
+    WAKE_FROM_PRIMARY = True
+
+    def __init__(self, trace: Trace, config: Optional[MachineConfig] = None):
+        super().__init__(trace, config)
+        self.vp = StrideValuePredictor()
         # duplicates holding a prediction, awaiting primary completion
         self._speculating: Dict[int, object] = {}
         # uncommitted instances per PC, for in-flight stride projection
@@ -135,15 +130,22 @@ class DIEVPPipeline(DIEPipeline):
 
     # -- prediction at dispatch ------------------------------------------
 
-    def _hook_make_entries(self, inst: TraceInst) -> List[DynInst]:
-        entries = super()._hook_make_entries(inst)
+    def _hook_make_entries(self, inst: TraceInst, stream: int) -> List[DynInst]:
+        entries = super()._hook_make_entries(inst, stream)
         if entries[0].dec.reusable:
-            self.stats.irb_lookups += 1
+            stats = self.stats
+            tracer = self.tracer
+            tracing = tracer is not NULL_TRACER
+            stats.irb_lookups += 1
+            if tracing:
+                tracer.emit(IRBEvent(IRB_LOOKUP, self.cycle, inst.pc, inst.opcode))
             ahead = self._inflight.get(inst.pc, 0) + 1
             self._inflight[inst.pc] = ahead
             predicted = self.vp.predict(inst.pc, ahead=ahead)
             if predicted is not None:
-                self.stats.irb_pc_hits += 1
+                stats.irb_pc_hits += 1
+                if tracing:
+                    tracer.emit(IRBEvent(IRB_PC_HIT, self.cycle, inst.pc, inst.opcode))
                 duplicate = entries[1]
                 duplicate.issued = True  # held out of the scheduler
                 self._speculating[duplicate.uid] = predicted
@@ -153,12 +155,7 @@ class DIEVPPipeline(DIEPipeline):
         # The VP probe mutates predictor counters and in-flight state per
         # dispatch *attempt*; build-and-discard reproduces those effects
         # verbatim (this model is not on the benchmark's hot path).
-        self._hook_make_entries(inst)
-
-    def _hook_source_stream(self, inst: DynInst) -> int:
-        # As in DIE-IRB: primary results wake both streams, so a failed
-        # prediction can issue as soon as verification fails.
-        return PRIMARY
+        self._hook_make_entries(inst, PRIMARY)
 
     # -- verification at primary completion ------------------------------
 
@@ -183,6 +180,10 @@ class DIEVPPipeline(DIEPipeline):
             else:
                 duplicate.result = predicted
             self.stats.irb_reuse_hits += 1
+            tracer = self.tracer
+            if tracer is not NULL_TRACER:
+                trace = duplicate.trace
+                tracer.emit(IRBEvent(IRB_REUSE_HIT, cycle, trace.pc, trace.opcode))
             self._schedule(cycle + 1, "complete", duplicate)
         else:
             # Wrong guess: fall back to the functional units.  Deliberately

@@ -8,8 +8,8 @@ makes cross-model agreement a generative, machine-checked property:
   including stress families the curated apps never reach.
 * :mod:`.harness` — one trace through the oracle plus all nine models,
   with commit auditing.
-* :mod:`.invariants` — the declarative invariant catalogue and the
-  exemption registry (``docs/VALIDATION.md``).
+* :mod:`.invariants` — the declarative invariant catalogue
+  (``docs/VALIDATION.md``).
 * :mod:`.shrink` — delta-debugging minimizer for divergent programs.
 * :mod:`.corpus` — replayable corpus documents, content-addressed
   through the campaign store's ``.fuzz.json`` side-cars.
@@ -46,12 +46,9 @@ from .harness import (
     run_model,
 )
 from .invariants import (
-    EXEMPTIONS,
     Divergence,
-    Exemption,
     check_case,
     check_determinism,
-    is_exempt,
     jitter_slack,
     models_for,
     reuse_slack,
@@ -64,8 +61,6 @@ __all__ = [
     "CommitAuditor",
     "DEFAULT_CASE_INSTS",
     "Divergence",
-    "EXEMPTIONS",
-    "Exemption",
     "FAMILIES",
     "FUZZ_CODE_VERSION",
     "FuzzFinding",
@@ -81,7 +76,6 @@ __all__ = [
     "check_case",
     "check_determinism",
     "fuzz_key",
-    "is_exempt",
     "jitter_slack",
     "models_for",
     "program_from_dict",

@@ -88,7 +88,6 @@ class CaseOutcome:
     family: str
     profile_name: str
     divergences: Tuple[Divergence, ...] = ()
-    exempted: Tuple[Divergence, ...] = ()
 
 
 @dataclass
@@ -107,7 +106,6 @@ class FuzzReport:
     cases: int = 0
     models: Tuple[str, ...] = ()
     findings: List[FuzzFinding] = field(default_factory=list)
-    exempted: int = 0
 
     @property
     def clean(self) -> bool:
@@ -131,8 +129,8 @@ def run_one_case(
     index: int,
     faults: Optional[Dict[str, List[Fault]]] = None,
     tracer: Optional[Tracer] = None,
-) -> Tuple[Tuple[Divergence, ...], Tuple[Divergence, ...]]:
-    """Execute + check one program; returns (active, exempted)."""
+) -> Tuple[Divergence, ...]:
+    """Execute + check one program; returns its divergences."""
     trace = FunctionalExecutor(program).run(n_insts)
     case = run_case(trace, models, fault_injectors=_build_injectors(faults))
     det_model = _determinism_model(list(models), index)
@@ -143,21 +141,22 @@ def run_one_case(
     # The sampled-reconstruction check rides the same rotation, but only
     # for fault-free models: sampling cannot replay a fault plan.
     sampled_model = None if faults and det_model in faults else det_model
-    active, exempted = check_case(
-        case,
-        determinism_model=det_model,
-        tracer=tracer,
-        determinism_injector=injector_factory,
-        sampled_model=sampled_model,
+    return tuple(
+        check_case(
+            case,
+            determinism_model=det_model,
+            tracer=tracer,
+            determinism_injector=injector_factory,
+            sampled_model=sampled_model,
+        )
     )
-    return tuple(active), tuple(exempted)
 
 
 def _case_worker(args: Tuple[int, int, int, Tuple[str, ...], bool]) -> CaseOutcome:
     """Process-pool entry point: run one case index to a CaseOutcome."""
     seed, index, n_insts, models, synthetic = args
     family, program = build_case_program(seed, index)
-    active, exempted = run_one_case(
+    active = run_one_case(
         program, n_insts, models, index, faults=_synthetic_faults(synthetic)
     )
     return CaseOutcome(
@@ -166,7 +165,6 @@ def _case_worker(args: Tuple[int, int, int, Tuple[str, ...], bool]) -> CaseOutco
         family=family,
         profile_name=program.name,
         divergences=active,
-        exempted=exempted,
     )
 
 
@@ -185,7 +183,7 @@ def _reproducer(
     subset = [m for m in models_for(invariant, model) if m in models] or [model]
 
     def reproduce(program: Program, n_insts: int) -> bool:
-        active, _ = run_one_case(program, n_insts, subset, index, faults=faults)
+        active = run_one_case(program, n_insts, subset, index, faults=faults)
         return any(
             d.invariant == invariant and d.model == model for d in active
         )
@@ -230,7 +228,6 @@ def run_fuzz(
         outcomes = [_case_worker(a) for a in args]
 
     for outcome in outcomes:
-        report.exempted += len(outcome.exempted)
         if outcome.divergences:
             finding = _handle_divergent_case(
                 outcome, n_insts, model_list, faults, store, do_shrink, tracer
@@ -265,7 +262,7 @@ def _handle_divergent_case(
             final_n = finding.shrink.n_insts
     # Re-emit divergence events for the *persisted* (shrunk) case so a
     # recording tracer holds markers matching the corpus entry.
-    active, _ = run_one_case(
+    active = run_one_case(
         final_program, final_n, models, outcome.index, faults=faults, tracer=tracer
     )
     recorded = active or outcome.divergences
@@ -307,7 +304,7 @@ def replay_case(
     faults = faults_from_spec(spec)
     model_list = list(models) if models else list(spec["models"])
     index = int(document.get("meta", {}).get("index", 0))
-    active, _ = run_one_case(
+    active = run_one_case(
         program, int(spec["n_insts"]), model_list, index, faults=faults
     )
     return list(active), document

@@ -4,7 +4,7 @@ The harness drives pipelines itself (built by
 :func:`repro.simulation.runner.make_pipeline`, as ``simulate`` does) so
 it can attach a :class:`CommitAuditor` tracer, which the public runner
 deliberately does not expose: it records per-``(seq, stream)``
-fetch/commit counts and the primary-stream commit order, the raw
+commit counts and the primary-stream commit order, the raw
 material for the commit-exactly-once and oracle-match invariants.
 
 Everything here is read-only with respect to the models: the harness
@@ -21,7 +21,7 @@ from ..core.pipeline import DeadlockError
 from ..redundancy import FaultInjector
 from ..reuse import IRBConfig
 from ..simulation.runner import make_pipeline
-from ..telemetry.events import STAGE_COMMIT, STAGE_FETCH, InstEvent, Tracer
+from ..telemetry.events import STAGE_COMMIT, InstEvent, Tracer
 from ..telemetry.record import TeeTracer
 from ..workloads import Trace
 
@@ -37,7 +37,8 @@ REDUNDANT_MODELS: Tuple[str, ...] = (
     "srt",
 )
 
-#: DIE-family models that pair-check every architected instruction.
+#: Models whose commit checker checks every architected instruction
+#: once (the DIE family per pair, SRT per trailing instruction).
 PAIR_CHECKED_MODELS: Tuple[str, ...] = (
     "die",
     "die-irb",
@@ -45,6 +46,7 @@ PAIR_CHECKED_MODELS: Tuple[str, ...] = (
     "die-vp",
     "die-cluster-split",
     "die-cluster-repl",
+    "srt",
 )
 
 
@@ -57,20 +59,16 @@ class CommitAuditor(Tracer):
 
     def __init__(self) -> None:
         self.commits: Dict[Tuple[int, int], int] = {}
-        self.fetches: Dict[Tuple[int, int], int] = {}
         #: Primary-stream commits in retirement order, as ``(seq, pc)``.
         self.primary_order: List[Tuple[int, int]] = []
 
     def emit(self, event: object) -> None:
-        if not isinstance(event, InstEvent):
+        if not isinstance(event, InstEvent) or event.kind != STAGE_COMMIT:
             return
         key = (event.seq, event.stream)
-        if event.kind == STAGE_COMMIT:
-            self.commits[key] = self.commits.get(key, 0) + 1
-            if event.stream == 0:
-                self.primary_order.append((event.seq, event.pc))
-        elif event.kind == STAGE_FETCH:
-            self.fetches[key] = self.fetches.get(key, 0) + 1
+        self.commits[key] = self.commits.get(key, 0) + 1
+        if event.stream == 0:
+            self.primary_order.append((event.seq, event.pc))
 
 
 @dataclass

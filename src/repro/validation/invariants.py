@@ -37,9 +37,9 @@ The catalogue (documented in ``docs/VALIDATION.md``):
     tracer attached reproduces byte-identical statistics (checked by the
     engine on a per-case rotating model — see :func:`check_determinism`).
 
-Benign, understood violations are registered as :class:`Exemption`
-entries and filtered out of ``check_case``'s return value; every entry
-must be documented in ``docs/VALIDATION.md``.
+A benign, understood violation refines its invariant's bound (as
+:func:`jitter_slack` and :func:`reuse_slack` do), documented in
+``docs/VALIDATION.md``; nothing is filtered out of ``check_case``.
 """
 
 from __future__ import annotations
@@ -68,23 +68,6 @@ class Divergence:
     invariant: str
     model: str
     detail: str
-
-
-@dataclass(frozen=True)
-class Exemption:
-    """A documented, benign invariant violation.
-
-    ``model`` of ``""`` matches every model.  Every exemption must cite
-    its rationale in ``docs/VALIDATION.md``.
-    """
-
-    invariant: str
-    model: str
-    reason: str
-
-
-#: Active exemptions (kept empty until triage finds a benign violation).
-EXEMPTIONS: Tuple[Exemption, ...] = ()
 
 
 def jitter_slack(cycles: int) -> int:
@@ -119,17 +102,6 @@ def reuse_slack(cycles: int) -> int:
     misses on identical operands), which costs far more.
     """
     return max(16, cycles // 10)
-
-
-def is_exempt(divergence: Divergence) -> Optional[Exemption]:
-    """The exemption covering ``divergence``, if any."""
-    for exemption in EXEMPTIONS:
-        if exemption.invariant != divergence.invariant:
-            continue
-        if exemption.model and exemption.model != divergence.model:
-            continue
-        return exemption
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +470,11 @@ def check_case(
     tracer: Optional[Tracer] = None,
     determinism_injector: Optional[Callable[[], Optional["FaultInjector"]]] = None,
     sampled_model: Optional[str] = None,
-) -> Tuple[List[Divergence], List[Divergence]]:
-    """Run the catalogue; returns ``(active, exempted)`` divergences.
+) -> List[Divergence]:
+    """Run the catalogue; returns every divergence found.
 
-    ``tracer`` receives one :class:`DivergenceEvent` per *active*
-    divergence, stamped with the implicated run's final cycle.
+    ``tracer`` receives one :class:`DivergenceEvent` per divergence,
+    stamped with the implicated run's final cycle.
     ``sampled_model`` names the model the sampled-reconstruction check
     runs on (``None`` skips it — e.g. when the rotating model carries a
     synthetic fault plan, which sampling cannot reproduce).
@@ -516,14 +488,8 @@ def check_case(
         )
     if sampled_model is not None:
         found.extend(check_sampled_tolerance(case, sampled_model))
-    active: List[Divergence] = []
-    exempted: List[Divergence] = []
-    for divergence in found:
-        if is_exempt(divergence) is not None:
-            exempted.append(divergence)
-            continue
-        active.append(divergence)
-        if tracer is not None and tracer is not NULL_TRACER:
+    if tracer is not None and tracer is not NULL_TRACER:
+        for divergence in found:
             run = case.runs.get(divergence.model)
             cycle = run.stats.cycles if run is not None and run.stats else 0
             tracer.emit(
@@ -534,4 +500,4 @@ def check_case(
                     detail=divergence.detail,
                 )
             )
-    return active, exempted
+    return found

@@ -29,8 +29,10 @@ class TestConstruction:
             assert cluster.counts[FUClass.INT_ALU] == 4
 
     def test_unknown_variant_rejected(self, gzip_trace):
-        with pytest.raises(ValueError):
-            DIEClusteredPipeline(gzip_trace, variant="hexa")
+        # The variant is a class attribute each registered subclass
+        # declares; the base class names none and cannot be built.
+        with pytest.raises(AttributeError):
+            DIEClusteredPipeline(gzip_trace)
 
     def test_intercluster_delay_applies_across_streams(self, gzip_trace):
         pipeline = DIEClusterSplitPipeline(gzip_trace)
@@ -38,7 +40,7 @@ class TestConstruction:
         same = DynInst(gzip_trace[1], PRIMARY)
         other = DynInst(gzip_trace[1], DUPLICATE)
         assert pipeline._hook_wake_delay(producer, same) == 0
-        assert pipeline._hook_wake_delay(producer, other) == pipeline.intercluster_delay
+        assert pipeline._hook_wake_delay(producer, other) == pipeline.INTERCLUSTER_DELAY == 2
 
 
 class TestBehaviour:

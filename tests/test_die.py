@@ -33,7 +33,7 @@ class TestDuplication:
     def test_pair_links_are_mutual(self):
         trace = straightline([addi(R1, 0, 1)])
         pipeline = DIEPipeline(trace)
-        entries = pipeline._hook_make_entries(trace[0])
+        entries = pipeline._hook_make_entries(trace[0], PRIMARY)
         primary, duplicate = entries
         assert primary.pair is duplicate and duplicate.pair is primary
         assert primary.stream == PRIMARY and duplicate.stream == DUPLICATE
@@ -92,7 +92,6 @@ class TestChecker:
         checker = CommitChecker()
         p, d = DynInst(trace[0], PRIMARY), DynInst(trace[0], DUPLICATE)
         assert checker.check(p, d)
-        assert checker.stats.checked == 1 and checker.stats.mismatches == 0
 
     def test_corrupted_pair_fails(self):
         trace = straightline([addi(R1, 0, 5)])
@@ -100,7 +99,6 @@ class TestChecker:
         p, d = DynInst(trace[0], PRIMARY), DynInst(trace[0], DUPLICATE)
         d.result = 6
         assert not checker.check(p, d)
-        assert checker.stats.mismatches == 1
 
     def test_mismatched_seq_is_a_bug(self):
         t = straightline([addi(R1, 0, 1), addi(R2, 0, 2)])

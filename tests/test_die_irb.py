@@ -1,7 +1,7 @@
 """Directed tests for the DIE-IRB pipeline (the paper's contribution)."""
 
 
-from repro.core import MachineConfig, PRIMARY
+from repro.core import DUPLICATE, MachineConfig, PRIMARY
 from repro.isa import Opcode, int_reg
 from repro.redundancy import Fault, FaultInjector
 from repro.redundancy.faults import IRB_ENTRY
@@ -69,9 +69,20 @@ class TestComplexityEffectiveProperties:
     def test_duplicates_wake_from_primary_producers(self):
         trace = repetitive_trace()
         pipeline = DIEIRBPipeline(trace)
-        entries = pipeline._hook_make_entries(trace[2])
-        for entry in entries:
-            assert pipeline._hook_source_stream(entry) == PRIMARY
+        assert pipeline.WAKE_FROM_PRIMARY
+        pipeline.warm_up()
+        # Dispatch links both streams' sources through the primary
+        # producer table: a waiting duplicate waits on a primary.
+        links = []
+        for _ in range(40):
+            pipeline._step()
+            links += [
+                (producer.stream, consumer.stream)
+                for producer in pipeline.ruu
+                for consumer in producer.consumers
+            ]
+        assert (PRIMARY, DUPLICATE) in links
+        assert all(stream == PRIMARY for stream, _ in links)
 
     def test_port_starvation_degrades_to_die(self):
         trace = repetitive_trace()

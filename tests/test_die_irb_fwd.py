@@ -1,17 +1,29 @@
 """Tests for the forwarding ablation variant (DIE-IRB-Fwd)."""
 
-from repro.core import DUPLICATE, DynInst, PRIMARY
+from repro.core import DUPLICATE
 from repro.reuse import DIEIRBFwdPipeline
 from repro.simulation import simulate
 
 
 class TestForwardingVariant:
     def test_duplicates_wake_from_their_own_stream(self, gzip_trace):
+        assert not DIEIRBFwdPipeline.WAKE_FROM_PRIMARY
         pipeline = DIEIRBFwdPipeline(gzip_trace)
-        primary = DynInst(gzip_trace[0], PRIMARY)
-        duplicate = DynInst(gzip_trace[0], DUPLICATE)
-        assert pipeline._hook_source_stream(primary) == PRIMARY
-        assert pipeline._hook_source_stream(duplicate) == DUPLICATE
+        pipeline.warm_up()
+        links = []
+        for _ in range(200):
+            pipeline._step()
+            links += [
+                (producer, consumer)
+                for producer in pipeline.ruu
+                for consumer in producer.consumers
+            ]
+        assert any(c.stream == DUPLICATE == p.stream for p, c in links)
+        # Only the single memory access crosses streams (DIE's rule).
+        assert all(
+            p.stream == c.stream or (p.dec.load and c.stream == DUPLICATE)
+            for p, c in links
+        )
 
     def test_commits_everything(self, gzip_trace):
         result = simulate(gzip_trace, "die-irb-fwd")

@@ -5,6 +5,7 @@ from repro.isa import int_reg
 from repro.redundancy import DIEPipeline, Fault, FaultInjector
 from repro.redundancy.faults import EXEC_DUP, EXEC_PRIMARY
 from repro.simulation import simulate
+from repro.telemetry import CheckEvent, RecordingTracer
 
 from helpers import addi, straightline
 
@@ -85,8 +86,12 @@ class TestRecoveryCorrectness:
         injector = FaultInjector([Fault(kind=EXEC_PRIMARY, seq=20)])
         pipeline = DIEPipeline(trace)
         pipeline.fault_injector = injector
+        checks = RecordingTracer()
+        pipeline.tracer = checks
         stats = pipeline.run()
         # Re-executed instructions are re-checked: total checks exceed
         # the trace length by the replayed suffix.
         assert stats.pairs_checked == len(trace)
-        assert pipeline.checker.stats.checked > len(trace)
+        verdicts = [e.ok for e in checks.events if isinstance(e, CheckEvent)]
+        assert len(verdicts) > len(trace)
+        assert verdicts.count(False) == 1

@@ -1,18 +1,12 @@
 """Tests for the SRT-style thread-level redundancy model."""
 
-import pytest
-
 from repro.redundancy import SRTPipeline
 from repro.simulation import get_trace, simulate
 
 
 class TestConstruction:
-    def test_slack_validated(self, gzip_trace):
-        with pytest.raises(ValueError):
-            SRTPipeline(gzip_trace, slack=0)
-
-    def test_default_slack(self, gzip_trace):
-        assert SRTPipeline(gzip_trace).slack == 64
+    def test_default_slack(self):
+        assert SRTPipeline.SLACK == 64
 
 
 class TestExecution:
@@ -48,10 +42,16 @@ class TestExecution:
             assert result.stats.committed == len(trace)
 
     def test_slack_sensitivity(self, gzip_trace):
-        tight = SRTPipeline(gzip_trace, slack=8)
+        class Tight(SRTPipeline):
+            SLACK = 8
+
+        class Loose(SRTPipeline):
+            SLACK = 128
+
+        tight = Tight(gzip_trace)
         tight.warm_up()
         tight_stats = tight.run()
-        loose = SRTPipeline(gzip_trace, slack=128)
+        loose = Loose(gzip_trace)
         loose.warm_up()
         loose_stats = loose.run()
         assert tight_stats.committed == loose_stats.committed == len(gzip_trace)

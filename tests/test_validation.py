@@ -27,7 +27,6 @@ from repro.validation import (
     FAMILIES,
     CommitAuditor,
     Divergence,
-    Exemption,
     build_case_program,
     case_document,
     case_seed,
@@ -35,7 +34,6 @@ from repro.validation import (
     check_case,
     check_determinism,
     fuzz_key,
-    is_exempt,
     jitter_slack,
     models_for,
     program_from_dict,
@@ -50,7 +48,6 @@ from repro.validation import (
     shrink_case,
 )
 from repro.validation import engine
-from repro.validation import invariants as invariants_module
 from repro.validation.corpus import faults_from_spec
 from repro.validation.engine import SYNTHETIC_BUG_MODEL
 from repro.workloads import FunctionalExecutor
@@ -103,9 +100,7 @@ def test_sampled_profiles_generate_runnable_programs():
 
 
 def test_clean_case_has_no_divergences(small_case):
-    active, exempted = check_case(small_case)
-    assert active == []
-    assert exempted == []
+    assert check_case(small_case) == []
 
 
 def test_determinism_check_is_clean(small_case):
@@ -125,14 +120,14 @@ def _tampered(case, model):
 def test_deadlock_is_reported(small_case):
     case, run = _tampered(small_case, "die")
     run.error = "deadlock at cycle 7"
-    active, _ = check_case(case)
+    active = check_case(case)
     assert Divergence("no-deadlock", "die", "deadlock at cycle 7") in active
 
 
 def test_commit_count_mismatch_is_reported(small_case):
     case, run = _tampered(small_case, "sie")
     run.stats.committed -= 1
-    active, _ = check_case(case)
+    active = check_case(case)
     assert any(
         d.invariant == "commit-exactly-once" and d.model == "sie" for d in active
     )
@@ -143,21 +138,20 @@ def test_oracle_order_violation_is_reported(small_case):
     original = run.auditor
     doctored = CommitAuditor()
     doctored.commits = dict(original.commits)
-    doctored.fetches = dict(original.fetches)
     doctored.primary_order = list(original.primary_order)
     doctored.primary_order[0], doctored.primary_order[1] = (
         doctored.primary_order[1],
         doctored.primary_order[0],
     )
     run.auditor = doctored
-    active, _ = check_case(case)
+    active = check_case(case)
     assert any(d.invariant == "oracle-match" and d.model == "sie" for d in active)
 
 
 def test_fault_counters_violate_fault_free_clean(small_case):
     case, run = _tampered(small_case, "die")
     run.stats.check_mismatches = 2
-    active, _ = check_case(case)
+    active = check_case(case)
     assert any(
         d.invariant == "fault-free-clean" and d.model == "die" for d in active
     )
@@ -166,7 +160,7 @@ def test_fault_counters_violate_fault_free_clean(small_case):
 def test_redundant_model_beating_sie_is_reported(small_case):
     case, run = _tampered(small_case, "die")
     run.stats.cycles = case.runs["sie"].stats.cycles // 2
-    active, _ = check_case(case)
+    active = check_case(case)
     assert any(d.invariant == "redundancy-never-wins" for d in active)
 
 
@@ -175,7 +169,7 @@ def test_small_timing_inversions_are_jitter_not_findings(small_case):
     docs/VALIDATION.md: second-order scheduling jitter)."""
     case, run = _tampered(small_case, "die")
     run.stats.cycles = case.runs["sie"].stats.cycles - 1
-    active, _ = check_case(case)
+    active = check_case(case)
     assert not any(d.invariant == "redundancy-never-wins" for d in active)
 
 
@@ -189,23 +183,8 @@ def test_jitter_slack_floor_and_scale():
 def test_irb_slower_than_die_is_reported(small_case):
     case, run = _tampered(small_case, "die-irb")
     run.stats.cycles = case.runs["die"].stats.cycles * 2
-    active, _ = check_case(case)
+    active = check_case(case)
     assert any(d.invariant == "irb-bounded" and d.model == "die-irb" for d in active)
-
-
-def test_exemptions_filter_divergences(small_case, monkeypatch):
-    case, run = _tampered(small_case, "die")
-    run.error = "deadlock"
-    monkeypatch.setattr(
-        invariants_module,
-        "EXEMPTIONS",
-        (Exemption("no-deadlock", "die", "testing the registry"),),
-    )
-    active, exempted = check_case(case)
-    assert not any(d.invariant == "no-deadlock" for d in active)
-    assert any(d.invariant == "no-deadlock" for d in exempted)
-    assert is_exempt(Divergence("no-deadlock", "die", "x")) is not None
-    assert is_exempt(Divergence("no-deadlock", "sie", "x")) is None
 
 
 def test_divergences_are_emitted_to_tracer(small_case):
@@ -390,7 +369,7 @@ def test_case_outcomes_identical_across_workers():
 
 def test_run_one_case_flags_injected_fault(fuzz_program):
     faults = {"die": [Fault(EXEC_DUP, seq=2)]}
-    active, _ = run_one_case(fuzz_program, 200, ("sie", "die"), 0, faults=faults)
+    active = run_one_case(fuzz_program, 200, ("sie", "die"), 0, faults=faults)
     assert any(
         d.invariant == "fault-free-clean" and d.model == "die" for d in active
     )
@@ -439,7 +418,7 @@ def test_campaign_timing_inversions_stay_within_jitter(
     assert slower > faster
     # ...but second-order: inside the documented slack.
     assert slower - faster <= slack_fn(slower)
-    active, _ = run_one_case(program, 500, models, index)
+    active = run_one_case(program, 500, models, index)
     assert active == ()
 
 

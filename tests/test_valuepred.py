@@ -1,11 +1,9 @@
 """Tests for the stride value predictor and the DIE-VP pipeline."""
 
-import pytest
-
 from repro.isa import Opcode, int_reg
 from repro.redundancy import Fault, FaultInjector
 from repro.redundancy.faults import EXEC_PRIMARY
-from repro.reuse import StrideValuePredictor, VPConfig
+from repro.reuse import StrideValuePredictor
 from repro.simulation import simulate
 
 from helpers import addi, assemble, straightline
@@ -49,12 +47,6 @@ class TestStridePredictor:
         for _ in range(4):
             vp.update(0x100, 2.5)
         assert vp.predict(0x100) == 2.5
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            VPConfig(entries=100)
-        with pytest.raises(ValueError):
-            VPConfig(threshold=9)
 
 
 class TestDIEVPPipeline:

@@ -1,10 +1,9 @@
 """Documented exemptions for semantic findings.
 
-This mirrors the fuzz campaign's invariant-exemption policy (PR 5,
-``repro.validation.invariants.EXEMPTIONS``): a finding is never silently
-dropped — it is either fixed in ``src/repro`` or pinned here with the
-rationale that makes it acceptable, so reviewers see the full list in
-one place and CI enforces that nothing else slips through.
+A finding is never silently dropped — it is either fixed in
+``src/repro`` or pinned here with the rationale that makes it
+acceptable, so reviewers see the full list in one place and CI enforces
+that nothing else slips through.
 
 Two registries:
 
