@@ -22,7 +22,7 @@ from .jobs import Job
 #: statistics for an identical spec (pipeline timing, workload
 #: generation, stat semantics) — the store then misses cleanly instead of
 #: serving results computed by older code.
-CODE_VERSION = "campaign-v2"
+CODE_VERSION = "campaign-v3"
 
 
 def canonical(value: Any) -> Any:

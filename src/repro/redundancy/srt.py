@@ -146,12 +146,14 @@ class SRTPipeline(OOOPipeline):
             else:
                 lead = self._output_buffer.pop(head.seq)
                 ok = self.checker.check(lead, head)
-                stats.pairs_checked += 1
                 if tracer is not NULL_TRACER:
                     tracer.emit(CheckEvent(self.cycle, head.seq, ok))
                 if not ok:
                     self._recover(head)
                     break
+                # Counted only once the check passes, as DIE does: a
+                # mismatch is counted in check_mismatches instead.
+                stats.pairs_checked += 1
                 self.trail_committed += 1
                 self.committed_arch += 1
                 stats.committed += 1

@@ -24,7 +24,8 @@ Counter attribution inside a site (see ``docs/SAMPLING.md``):
   :class:`InstEvent` counts binned by architected ``seq`` (both streams,
   matching how the full-run counters count DIE pairs twice).
 * **pairs_checked / check_mismatches** — :class:`CheckEvent` counts
-  binned by ``seq``.
+  binned by ``seq``: passing checks count in ``pairs_checked`` and
+  failing ones in ``check_mismatches``, as in a full DIE or SRT run.
 * **irb_*** — :class:`IRBEvent` counts binned by the region's commit
   *cycle* window (the IRB observes pcs, not seqs).
 * **stalls, branches, mispredicts, recoveries, fu_busy_cycles** —
@@ -249,8 +250,9 @@ def _carve_site(
                     stats.fu_issued[fu] = stats.fu_issued.get(fu, 0) + 1
         for seq, ok in tracer.checks:
             if first <= seq <= last:
-                stats.pairs_checked += 1
-                if not ok:
+                if ok:
+                    stats.pairs_checked += 1
+                else:
                     stats.check_mismatches += 1
         for kind, cycle in tracer.irb:
             if c0 <= cycle <= c1:

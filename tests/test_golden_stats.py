@@ -59,10 +59,16 @@ def stats_case(model: str, app: str) -> Callable[[], object]:
     return lambda: simulate(get_trace(app, N_INSTS), model).stats.to_dict()
 
 
-def exec_fault_case() -> object:
-    injector = FaultInjector([Fault(kind=EXEC_PRIMARY, seq=700)])
-    result = simulate(get_trace("gzip", N_INSTS), "die", fault_injector=injector)
-    return [result.stats.to_dict(), injector.log.injected, injector.log.latent]
+def exec_fault_case(model: str) -> Callable[[], object]:
+    def run() -> object:
+        injector = FaultInjector([Fault(kind=EXEC_PRIMARY, seq=700)])
+        result = simulate(
+            get_trace("gzip", N_INSTS), model, fault_injector=injector
+        )
+        return [result.stats.to_dict(), injector.log.injected,
+                injector.log.latent]
+
+    return run
 
 
 def irb_fault_case() -> object:
@@ -111,7 +117,8 @@ CASES: Dict[str, Callable[[], object]] = {
         for model in sorted(MODELS)
         for app in ("gzip", "equake")
     },
-    "fault/exec_primary/die": exec_fault_case,
+    "fault/exec_primary/die": exec_fault_case("die"),
+    "fault/exec_primary/srt": exec_fault_case("srt"),
     "fault/irb_entry/die-irb": irb_fault_case,
     **{
         f"deadlock/{model}": deadlock_case(model)

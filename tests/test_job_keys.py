@@ -42,13 +42,13 @@ PINNED_JOBS: Dict[str, Job] = {
 
 PINS: Dict[str, str] = {
     "sie/gzip":
-        "8de1ddb4ee19597c0a150c73b4fa555deae3cc47ea7bc2ca8da6db53279f7d49",
+        "43b7dd640404adfe7aa56b2d87ebd20fa5845a80971cbebe8b9cd8212b8919ea",
     "die-irb/gzip/irb-512x2-ctr":
-        "0a9286e6624d2ff5e65073c3d8a4d986317692988092685f906a8c42e09e127e",
+        "08280186bb72d5e59b67e8585c558b19db50d16c7e55c04a8e60c0c63a3fd07f",
     "die/art/DIE-2xALU":
-        "45c75bfb4c078bc635d4358f676b731c117c32eb42b3c28d98d1aef629630edc",
+        "2955c5ae8eddb6db117efec369b9f39b327e94266f8b6f9eae7bf07de2dda4f3",
     "die-irb/ammp/sampled":
-        "46cd41a5cf3e526e62532e2dcad901f67b80df1cd93ea38a5242a5d7c327372f",
+        "0abbe035c00192af931ce273b8c50e201d4ec7ce6ca77afa63b238513784b4f5",
 }
 
 

@@ -5,9 +5,10 @@ fixture (must stay silent), plus suppression, reporter, CLI and
 self-check coverage.  Fixtures live under ``tests/fixtures/simlint``.
 """
 
+import ast
+import collections
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -232,6 +233,12 @@ class TestCLI:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "clean" in result.stdout
 
+    def test_removed_engine_flags_are_usage_errors(self):
+        for flag in (["--jobs", "2"], ["--cache-dir", "DIR"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli_main([fixture("sl001_good.py"), *flag])
+            assert exit_info.value.code == 2
+
 
 class TestSemanticLayer:
     """Units for the module graph, call graph and taint engine."""
@@ -303,73 +310,23 @@ class TestSemanticLayer:
         files = {os.path.basename(path) for path, _, _ in witness}
         assert files == {"flow.py", "sink.py"}, "witness must cross modules"
 
-    def test_summary_serialization_roundtrip(self):
-        from tools.simlint.semantic import ModuleSummary, summarize_module
 
-        path = os.path.join(SRC, "reuse", "die_irb.py")
-        with open(path) as handle:
-            summary = summarize_module(path, handle.read())
-        obj = summary.to_obj()
-        assert json.loads(json.dumps(obj)) == obj, "facts must be JSON-safe"
-        assert ModuleSummary.from_obj(obj).to_obj() == obj
+class TestSinglePass:
+    def test_each_analyzed_file_is_parsed_once(self, monkeypatch):
+        real_parse = ast.parse
+        counts: collections.Counter = collections.Counter()
 
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            counts[filename] += 1
+            return real_parse(source, filename, *args, **kwargs)
 
-class TestIncrementalCache:
-    """Warm runs re-analyze only edited modules, byte-identically."""
-
-    def _tree(self, tmp_path):
-        tree = tmp_path / "tree"
-        shutil.copytree(fixture("sl101_bad"), tree)
-        return str(tree)
-
-    def test_warm_run_is_fully_cached(self, tmp_path):
-        tree, cache = self._tree(tmp_path), str(tmp_path / "cache")
-        cold = run_analysis([tree], cache_dir=cache)
-        warm = run_analysis([tree], cache_dir=cache)
-        assert cold.analyzed == 2 and cold.cached == 0
-        assert warm.analyzed == 0 and warm.cached == 2
-        assert [v.to_dict() for v in warm.violations] == [
-            v.to_dict() for v in cold.violations
-        ]
-
-    def test_edit_invalidates_only_the_edited_module(self, tmp_path):
-        tree, cache = self._tree(tmp_path), str(tmp_path / "cache")
-        cold = run_analysis([tree], cache_dir=cache)
-        flow = os.path.join(tree, "flow.py")
-        with open(flow) as handle:
-            source = handle.read()
-        with open(flow, "w") as handle:
-            handle.write(source + "\n# touched\n")
-        warm = run_analysis([tree], cache_dir=cache)
-        assert warm.analyzed == 1 and warm.cached == 1
-        assert [v.to_dict() for v in warm.violations] == [
-            v.to_dict() for v in cold.violations
-        ]
-
-    def test_fix_clears_the_finding_on_a_warm_run(self, tmp_path):
-        tree, cache = self._tree(tmp_path), str(tmp_path / "cache")
-        assert run_analysis([tree], cache_dir=cache).violations
-        flow = os.path.join(tree, "flow.py")
-        with open(flow) as handle:
-            source = handle.read()
-        # Stop reading the duplicate: the taint source disappears.
-        with open(flow, "w") as handle:
-            handle.write(source.replace("inst.pair", "inst.shadow"))
-        warm = run_analysis([tree], cache_dir=cache)
-        assert warm.analyzed == 1
-        assert warm.violations == []
-
-
-class TestParallelAnalysis:
-    def test_jobs_output_byte_identical_to_serial(self):
-        serial = run_analysis([FIXTURES])
-        parallel = run_analysis([FIXTURES], jobs=2)
-        assert [v.to_dict() for v in parallel.violations] == [
-            v.to_dict() for v in serial.violations
-        ]
-        assert [v.to_dict() for v in parallel.exempted] == [
-            v.to_dict() for v in serial.exempted
-        ]
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.chdir(REPO_ROOT)
+        result = run_analysis(["src/repro"])
+        assert len(result.files) > 50
+        assert {path: counts[path] for path in result.files} == {
+            path: 1 for path in result.files
+        }
 
 
 class TestExplainAndSarif:

@@ -68,6 +68,17 @@ class TestFaults:
         assert result.stats.check_mismatches >= 1
         assert result.stats.committed == len(trace)
 
+    def test_fault_counts_match_die(self):
+        """A failed check counts as a mismatch, not as a checked pair."""
+        from repro.redundancy import Fault, FaultInjector
+        from repro.redundancy.faults import EXEC_PRIMARY
+
+        trace = get_trace("gzip", 4000)
+        for model in ("die", "srt"):
+            injector = FaultInjector([Fault(kind=EXEC_PRIMARY, seq=2000)])
+            stats = simulate(trace, model, fault_injector=injector).stats
+            assert (stats.pairs_checked, stats.check_mismatches) == (4000, 1), model
+
     def test_a7_experiment_renders(self):
         from repro.experiments import get_experiment
 

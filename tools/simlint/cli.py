@@ -3,14 +3,8 @@
 Exit status: 0 clean, 1 findings (or stale exemption-registry entries),
 2 usage/parse error.
 
-Engine options:
-
-* ``--jobs N``        — fan the parse/analysis passes over N processes;
-  output is byte-identical to a serial run.
-* ``--cache-dir DIR`` — memoize per-module facts and findings on disk;
-  warm runs re-analyze only edited modules (progress on stderr).
-* ``--explain SLxxx`` — after the run, print the rule's full rationale
-  and each of its findings with the complete witness path.
+``--explain SLxxx`` prints, after the run, the rule's full rationale and
+each of its findings with the complete witness path.
 """
 
 from __future__ import annotations
@@ -57,19 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analysis processes (0 = one per CPU; default: 1)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="incremental cache directory (warm runs re-analyze only edits)",
-    )
-    parser.add_argument(
         "--explain",
         default=None,
         metavar="SLxxx",
@@ -107,23 +88,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if options.rules
         else None
     )
-    jobs = options.jobs if options.jobs > 0 else (os.cpu_count() or 1)
     try:
-        result = run_analysis(
-            options.paths,
-            rule_ids=rule_ids,
-            jobs=jobs,
-            cache_dir=options.cache_dir,
-        )
+        result = run_analysis(options.paths, rule_ids=rule_ids)
     except (FileNotFoundError, KeyError, SyntaxError) as error:
         print(f"simlint: error: {error}", file=sys.stderr)
         return 2
-    if options.cache_dir:
-        print(
-            f"simlint: analyzed {result.analyzed} module(s), "
-            f"{result.cached} from cache",
-            file=sys.stderr,
-        )
     if result.exempted and options.format == "text":
         print(
             f"simlint: {len(result.exempted)} finding(s) exempted by the "

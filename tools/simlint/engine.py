@@ -1,47 +1,25 @@
-"""The analysis engine: incremental, parallel, two-pass.
+"""The analysis engine: one serial pass over the analyzed tree.
 
-Pass A (facts) parses each module once and extracts a serialisable fact
-base — the :class:`~.semantic.summary.ModuleSummary` consumed by the
-SL1xx semantic rules plus the cross-module syntax facts (dataclass
-shapes, attribute write-set) the SL0xx rules need.  Facts are memoized
-on disk keyed by ``(ENGINE_VERSION, file sha256)``; a warm run re-parses
-only edited files.
-
-Pass B (syntactic rules) re-parses only modules whose cached findings
-are stale.  A module's findings are keyed by its own content hash *and*
-a digest of every module's cross-module-visible facts, so an edit that
-changes a dataclass shape correctly invalidates the findings of modules
-that reference it, while an edit to a function body does not.
-
-Semantic rules always run — they consume only the (cached) summaries,
-never an AST, so recomputing them is cheap and keeps the cache trivially
-sound.  Findings are cached *pre*-suppression: pragma filtering and the
-unused-suppression rule (SL100) run at the engine level every time, so
-warm results are byte-identical to cold ones.
-
-Parallelism (``jobs > 1``) fans both passes out over a process pool;
-results are merged in deterministic path order, so parallel output is
-byte-identical to serial output.
+Each file is read and parsed once.  That one AST feeds both the
+cross-module :class:`~.project.ProjectIndex` (dataclass shapes, the
+attribute write-set) that the syntactic SL0xx rules consult, and the
+:class:`~.semantic.summary.ModuleSummary` fact base that the SL1xx
+semantic rules reason over.  The syntactic rules then run per module,
+the semantic rules once over the project, and last come pragma
+filtering, the unused-suppression rule (SL100) and the exemption
+registry.  Findings are sorted, so the report depends only on the
+analyzed sources.  A cold run over ``src/repro`` takes about 2 s.
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .exemptions import Exemption, SANCTIONED_CHANNELS, split_exempt
-from .framework import ALL, Rule, RuleViolation, all_rules, get_rule
-from .project import (
-    ModuleInfo,
-    ProjectIndex,
-    _expand,
-    collect_syntax_facts,
-    syntax_shape_obj,
-)
-from .semantic.cache import AnalysisCache, file_digest, obj_digest
+from .framework import ALL, RuleViolation, all_rules, get_rule
+from .project import ModuleInfo, ProjectIndex, _expand
 from .semantic.callgraph import CallGraph
 from .semantic.modgraph import ModuleGraph
 from .semantic.summary import ModuleSummary, PragmaInfo, summarize_module
@@ -73,43 +51,6 @@ class EngineResult:
     exempted: List[RuleViolation] = field(default_factory=list)
     unused_exemptions: List[Exemption] = field(default_factory=list)
     files: List[str] = field(default_factory=list)
-    analyzed: int = 0  # modules whose facts were (re)computed
-    cached: int = 0  # modules served entirely from the facts cache
-
-
-# -- process-pool workers (module level so they pickle) ---------------------
-
-
-def _compute_facts(item: Tuple[str, str]) -> Tuple[str, Dict[str, Any]]:
-    path, source = item
-    tree = ast.parse(source, filename=path)
-    summary = summarize_module(path, source, tree=tree)
-    return path, {
-        "summary": summary.to_obj(),
-        "syntax": collect_syntax_facts(path, tree),
-    }
-
-
-def _compute_syntactic(
-    args: Tuple[List[Tuple[str, str]], Dict[str, Dict[str, Any]], Tuple[str, ...]],
-) -> List[Tuple[str, List[Dict[str, Any]]]]:
-    chunk, syntax_facts, rule_ids = args
-    index = ProjectIndex.from_facts([], syntax_facts)
-    rules = [get_rule(rule_id) for rule_id in rule_ids]
-    out: List[Tuple[str, List[Dict[str, Any]]]] = []
-    for path, source in chunk:
-        module = ModuleInfo(path, source)
-        found: List[Dict[str, Any]] = []
-        for rule in rules:
-            found.extend(v.to_dict() for v in rule.check_module(module, index))
-        out.append((path, found))
-    return out
-
-
-def _chunked(items: List[Any], chunks: int) -> List[List[Any]]:
-    chunks = max(1, min(chunks, len(items)))
-    size = (len(items) + chunks - 1) // chunks
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 # -- suppression accounting --------------------------------------------------
@@ -175,43 +116,19 @@ class _PragmaLedger:
 def run_analysis(
     paths: Iterable[str],
     rule_ids: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
 ) -> EngineResult:
     """Analyze ``paths`` and return deterministic, sorted findings."""
     files = _expand(paths)
-    cache = AnalysisCache(cache_dir)
-    sources: Dict[str, str] = {}
-    digests: Dict[str, str] = {}
-    for path in files:
-        with open(path, "r", encoding="utf-8") as handle:
-            sources[path] = handle.read()
-        digests[path] = file_digest(sources[path])
-
-    # -- pass A: per-module facts (cached by content hash) ---------------
-    facts: Dict[str, Dict[str, Any]] = {}
-    misses: List[str] = []
-    for path in files:
-        hit = cache.get_facts(path, digests[path])
-        if hit is not None:
-            facts[path] = hit
-        else:
-            misses.append(path)
-    if misses:
-        items = [(path, sources[path]) for path in misses]
-        if jobs > 1 and len(items) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                computed = list(pool.map(_compute_facts, items))
-        else:
-            computed = [_compute_facts(item) for item in items]
-        for path, obj in computed:
-            facts[path] = obj
-            cache.put_facts(path, digests[path], obj)
-
+    modules: List[ModuleInfo] = []
     summaries: Dict[str, ModuleSummary] = {}
     for path in files:
-        summary = ModuleSummary.from_obj(facts[path]["summary"])
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        module = ModuleInfo(path, ast.parse(source, filename=path))
+        modules.append(module)
+        summary = summarize_module(path, source, tree=module.tree)
         summaries[summary.module] = summary
+    index = ProjectIndex.build(modules)
 
     # -- rule selection --------------------------------------------------
     selected = [get_rule(rule_id) for rule_id in rule_ids] if rule_ids else all_rules()
@@ -224,46 +141,18 @@ def run_analysis(
     selected_ids = {r.id for r in selected}
     syntactic = [r for r in rules if not r.semantic]
     semantic = [r for r in rules if r.semantic and r.id != SL100]
-    syntactic_ids = tuple(sorted(r.id for r in syntactic))
 
-    # -- pass B: syntactic findings (cached by content + shape digest) ---
-    syntax_facts = {path: facts[path]["syntax"] for path in files}
-    facts_digest = obj_digest(
-        {
-            "shapes": {p: syntax_shape_obj(f) for p, f in syntax_facts.items()},
-            "rules": list(syntactic_ids),
-        }
-    )
-    raw_by_path: Dict[str, List[RuleViolation]] = {}
-    stale: List[str] = []
-    for path in files:
-        rec = cache.get_violations(path, digests[path], facts_digest)
-        if rec is not None:
-            raw_by_path[path] = [RuleViolation.from_dict(d) for d in rec]
-        else:
-            stale.append(path)
-    if stale and syntactic_ids:
-        items2 = [(path, sources[path]) for path in stale]
-        if jobs > 1 and len(items2) > 1:
-            chunks = _chunked(items2, jobs)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(
-                    pool.map(
-                        _compute_syntactic,
-                        [(chunk, syntax_facts, syntactic_ids) for chunk in chunks],
-                    )
-                )
-            results = [pair for part in parts for pair in part]
-        else:
-            results = _compute_syntactic((items2, syntax_facts, syntactic_ids))
-        for path, dicts in results:
-            raw_by_path[path] = [RuleViolation.from_dict(d) for d in dicts]
-            cache.put_violations(path, digests[path], facts_digest, dicts)
-    else:
-        for path in stale:
-            raw_by_path[path] = []
+    # -- syntactic rules, per module ----------------------------------------
+    raw_by_path: Dict[str, List[RuleViolation]] = {
+        module.path: [
+            violation
+            for rule in syntactic
+            for violation in rule.check_module(module, index)
+        ]
+        for module in modules
+    }
 
-    # -- semantic rules (always recomputed from summaries) ---------------
+    # -- semantic rules, once over the project ------------------------------
     context = SemanticContext(
         summaries=summaries,
         graph=CallGraph(summaries),
@@ -301,13 +190,6 @@ def run_analysis(
         unused = []
     kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     exempted.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
-    cache.prune(files)
-    cache.save()
     return EngineResult(
-        violations=kept,
-        exempted=exempted,
-        unused_exemptions=unused,
-        files=files,
-        analyzed=len(misses),
-        cached=len(files) - len(misses),
+        violations=kept, exempted=exempted, unused_exemptions=unused, files=files
     )

@@ -21,7 +21,6 @@ import re
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -85,20 +84,6 @@ class RuleViolation:
             ]
         return out
 
-    @classmethod
-    def from_dict(cls, obj: Dict[str, Any]) -> "RuleViolation":
-        return cls(
-            path=obj["path"],
-            line=int(obj["line"]),
-            col=int(obj["col"]),
-            rule_id=obj["rule"],
-            message=obj["message"],
-            witness=tuple(
-                (hop["path"], int(hop["line"]), hop["note"])
-                for hop in obj.get("witness", ())
-            ),
-        )
-
 
 class Rule:
     """Base class for all simlint rules."""
@@ -129,9 +114,9 @@ class Rule:
 class SemanticRule(Rule):
     """Base class for the SL1xx project-wide rules.
 
-    Semantic rules consume the summarised fact base (call graph, module
-    summaries) via :class:`~.engine.SemanticContext` and therefore work
-    identically from cold parses and from the warm cache.
+    Semantic rules run once per analysis over the summarised fact base
+    (module summaries, call graph, import graph) in
+    :class:`~.engine.SemanticContext`; they never see an AST.
     """
 
     semantic = True
@@ -215,18 +200,6 @@ def parse_suppressions(source_lines: Sequence[str]) -> Suppressions:
     return supp
 
 
-def suppressions_from_pragmas(pragmas: Iterable) -> Suppressions:
-    """Build per-file suppression state from summarised pragma facts."""
-    supp = Suppressions()
-    for pragma in pragmas:
-        rules = set(pragma.rules)
-        if pragma.kind == "disable-file":
-            supp.file_wide |= rules
-        else:
-            supp.by_line.setdefault(pragma.line, set()).update(rules)
-    return supp
-
-
 def run_paths(
     paths: Iterable[str],
     rule_ids: Optional[Sequence[str]] = None,
@@ -234,8 +207,8 @@ def run_paths(
     """Analyze ``paths`` (files or directories) with the selected rules.
 
     Returns all unsuppressed violations sorted by (path, line, col, rule).
-    Thin wrapper over :func:`.engine.run_analysis` (serial, uncached),
-    kept for API compatibility with simlint v1 callers.
+    Thin wrapper over :func:`.engine.run_analysis`, kept for API
+    compatibility with simlint v1 callers.
     """
     from .engine import run_analysis
 

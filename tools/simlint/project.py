@@ -11,30 +11,16 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 class ModuleInfo:
-    """One source file; the AST is parsed lazily.
+    """One source file and its parsed AST."""
 
-    Laziness matters for the incremental engine: a module whose findings
-    are all cache hits never needs a parse at all.
-    """
-
-    def __init__(
-        self, path: str, source: str, tree: Optional[ast.Module] = None
-    ) -> None:
+    def __init__(self, path: str, tree: ast.Module) -> None:
         #: as given (repo-relative when invoked from the repo root)
         self.path = path
-        self.source = source
-        self.source_lines: List[str] = source.splitlines()
-        self._tree = tree
-
-    @property
-    def tree(self) -> ast.Module:
-        if self._tree is None:
-            self._tree = ast.parse(self.source, filename=self.path)
-        return self._tree
+        self.tree = tree
 
     @property
     def basename(self) -> str:
@@ -71,47 +57,6 @@ class DataclassInfo:
             name: self.field_lines[name]
             for name, annotation in self.fields.items()
             if annotation == "int"
-        }
-
-    def to_obj(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "line": self.line,
-            "frozen": self.frozen,
-            "fields": dict(self.fields),
-            "field_lines": dict(self.field_lines),
-            "properties": sorted(self.properties),
-            "methods": sorted(self.methods),
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Dict[str, Any]) -> "DataclassInfo":
-        return cls(
-            name=obj["name"],
-            path=obj["path"],
-            line=obj["line"],
-            frozen=obj["frozen"],
-            fields=dict(obj["fields"]),
-            field_lines={k: int(v) for k, v in obj["field_lines"].items()},
-            properties=set(obj["properties"]),
-            methods=set(obj["methods"]),
-        )
-
-    def shape_obj(self) -> Dict[str, Any]:
-        """The cross-module-visible part of the declaration.
-
-        Deliberately excludes line numbers and the declaring path: other
-        modules' cached findings reference dataclasses by *shape* only,
-        so moving a declaration without changing it must not invalidate
-        the whole cache.
-        """
-        return {
-            "name": self.name,
-            "frozen": self.frozen,
-            "fields": dict(sorted(self.fields.items())),
-            "properties": sorted(self.properties),
-            "methods": sorted(self.methods),
         }
 
 
@@ -194,44 +139,27 @@ class _WriteCollector(ast.NodeVisitor):
 class ProjectIndex:
     """Everything the rules need to know about the analyzed tree."""
 
-    modules: List[ModuleInfo] = field(default_factory=list)
     dataclasses: Dict[str, DataclassInfo] = field(default_factory=dict)
     #: attribute names stored (assigned / aug-assigned / setattr'd) anywhere
     attr_writes: Set[str] = field(default_factory=set)
 
     @classmethod
-    def build(cls, paths: Iterable[str]) -> "ProjectIndex":
-        index = cls()
-        for path in _expand(paths):
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-            module = ModuleInfo(path=path, source=source)
-            index.modules.append(module)
-            index.ingest_facts(path, collect_syntax_facts(path, module.tree))
-        return index
+    def build(cls, modules: Iterable[ModuleInfo]) -> "ProjectIndex":
+        """Collect dataclass shapes and attribute writes from parsed modules.
 
-    @classmethod
-    def from_facts(
-        cls,
-        modules: List["ModuleInfo"],
-        facts_by_path: Dict[str, Dict[str, Any]],
-    ) -> "ProjectIndex":
-        """Rebuild the cross-module index from serialised facts.
-
-        ``modules`` carry (lazily parsed) sources; the dataclass registry
-        and write-set come entirely from ``facts_by_path``, so modules
-        with cached findings are never parsed.
+        Modules are visited in sorted path order, so when two files declare
+        a dataclass of the same name the later path's declaration wins.
         """
-        index = cls(modules=list(modules))
-        for path in sorted(facts_by_path):
-            index.ingest_facts(path, facts_by_path[path])
+        index = cls()
+        for module in sorted(modules, key=lambda m: m.path):
+            _WriteCollector(index.attr_writes).visit(module.tree)
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ClassDef):
+                    frozen = _decorator_dataclass_frozen(node)
+                    if frozen is not None:
+                        info = _collect_dataclass(node, module.path, frozen)
+                        index.dataclasses[info.name] = info
         return index
-
-    def ingest_facts(self, path: str, facts: Dict[str, Any]) -> None:
-        for obj in facts["dataclasses"]:
-            info = DataclassInfo.from_obj(obj)
-            self.dataclasses[info.name] = info
-        self.attr_writes.update(facts["attr_writes"])
 
     # -- derived views --------------------------------------------------
 
@@ -255,36 +183,6 @@ class ProjectIndex:
         return {
             name: info for name, info in self.dataclasses.items() if info.frozen
         }
-
-
-def collect_syntax_facts(path: str, tree: ast.Module) -> Dict[str, Any]:
-    """Per-module serialisable facts consumed by the syntactic rules.
-
-    This is exactly the cross-module state :class:`ProjectIndex` holds —
-    dataclass declarations and the attribute write-set — in JSON form so
-    the incremental cache can persist it.
-    """
-    writes: Set[str] = set()
-    _WriteCollector(writes).visit(tree)
-    dataclasses: List[Dict[str, Any]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            frozen = _decorator_dataclass_frozen(node)
-            if frozen is None:
-                continue
-            dataclasses.append(_collect_dataclass(node, path, frozen).to_obj())
-    return {"dataclasses": dataclasses, "attr_writes": sorted(writes)}
-
-
-def syntax_shape_obj(facts: Dict[str, Any]) -> Dict[str, Any]:
-    """The digest payload other modules' cached findings depend on."""
-    return {
-        "dataclasses": [
-            DataclassInfo.from_obj(obj).shape_obj()
-            for obj in facts["dataclasses"]
-        ],
-        "attr_writes": list(facts["attr_writes"]),
-    }
 
 
 def _expand(paths: Iterable[str]) -> List[str]:

@@ -21,7 +21,7 @@ the registry; and every model-name literal must be registered.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from ..framework import RuleViolation, SemanticRule, register
 from ..semantic.callgraph import CallGraph, ClassKey

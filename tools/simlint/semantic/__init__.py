@@ -4,22 +4,18 @@ Where the SL0xx rules are per-module and syntactic, the SL1xx series
 reasons about the project as a whole:
 
 * :mod:`.modgraph`   — file ↔ dotted-module mapping and the import graph.
-* :mod:`.summary`    — one AST pass per module extracting a serialisable
-  fact base: functions, calls, a small dataflow IR, stats increments,
-  branch structure, telemetry emit sites, pragmas and module constants.
+* :mod:`.summary`    — one AST pass per module extracting a fact base:
+  functions, calls, a small dataflow IR, stats increments, branch
+  structure, telemetry emit sites, pragmas and module constants.
 * :mod:`.callgraph`  — class hierarchy, attribute-type inference and
   call-site resolution over the summaries.
 * :mod:`.taint`      — forward taint propagation over the interprocedural
   supergraph, producing witness paths for each source→sink flow.
-* :mod:`.cache`      — content-hash keyed on-disk cache so warm runs
-  re-analyze only edited modules.
 
-Everything downstream of :mod:`.summary` consumes only the serialised
-facts — never the AST — which is what makes the on-disk cache sound: a
-module whose content hash is unchanged contributes byte-identical facts.
+Everything downstream of :mod:`.summary` consumes only the summaries,
+never the AST.
 """
 
-from .cache import AnalysisCache, ENGINE_VERSION, file_digest
 from .callgraph import CallGraph
 from .modgraph import ModuleGraph, module_name_for_path
 from .summary import (
@@ -37,12 +33,10 @@ from .summary import (
 from .taint import TAG_DUP_VALUE, TAG_IRB_VALUE, TaintEngine, TaintFinding
 
 __all__ = [
-    "AnalysisCache",
     "BranchSummary",
     "CallGraph",
     "CallSite",
     "ClassSummary",
-    "ENGINE_VERSION",
     "EmitSite",
     "FlowEdge",
     "FunctionSummary",
@@ -54,7 +48,6 @@ __all__ = [
     "TAG_IRB_VALUE",
     "TaintEngine",
     "TaintFinding",
-    "file_digest",
     "module_name_for_path",
     "summarize_module",
 ]

@@ -1,9 +1,7 @@
-"""Per-module fact extraction: one AST pass → a serialisable summary.
+"""Per-module fact extraction: one AST pass → a summary.
 
-The summary is the *only* thing the project-level analyses read — the
-AST is discarded once it is built.  That contract is what makes the
-on-disk cache (:mod:`.cache`) sound: identical file content implies an
-identical summary, so a warm run can skip the parse entirely.
+The summary is the *only* thing the project-level analyses read; they
+never walk the AST themselves.
 
 Facts extracted per function:
 
@@ -67,13 +65,6 @@ class FlowEdge:
     line: int
     transform: str = ""
 
-    def to_obj(self) -> List[object]:
-        return [self.src, self.dst, self.line, self.transform]
-
-    @classmethod
-    def from_obj(cls, obj: Sequence[object]) -> "FlowEdge":
-        return cls(str(obj[0]), str(obj[1]), int(obj[2]), str(obj[3]))  # type: ignore[arg-type]
-
 
 @dataclass
 class CallSite:
@@ -85,16 +76,6 @@ class CallSite:
     nargs: int
     keywords: Tuple[str, ...] = ()
 
-    def to_obj(self) -> List[object]:
-        return [self.index, self.callee, self.line, self.nargs, list(self.keywords)]
-
-    @classmethod
-    def from_obj(cls, obj: Sequence[object]) -> "CallSite":
-        return cls(
-            int(obj[0]), str(obj[1]), int(obj[2]), int(obj[3]),  # type: ignore[arg-type]
-            tuple(obj[4]),  # type: ignore[arg-type]
-        )
-
 
 @dataclass
 class StatIncrement:
@@ -102,13 +83,6 @@ class StatIncrement:
 
     counter: str
     line: int
-
-    def to_obj(self) -> List[object]:
-        return [self.counter, self.line]
-
-    @classmethod
-    def from_obj(cls, obj: Sequence[object]) -> "StatIncrement":
-        return cls(str(obj[0]), int(obj[1]))  # type: ignore[arg-type]
 
 
 @dataclass
@@ -118,13 +92,6 @@ class EmitSite:
     line: int
     guard: str  # "identity" | "truthiness" | "none"
     receiver: str
-
-    def to_obj(self) -> List[object]:
-        return [self.line, self.guard, self.receiver]
-
-    @classmethod
-    def from_obj(cls, obj: Sequence[object]) -> "EmitSite":
-        return cls(int(obj[0]), str(obj[1]), str(obj[2]))  # type: ignore[arg-type]
 
 
 @dataclass
@@ -137,25 +104,6 @@ class ArmSummary:
     call_indices: List[int] = field(default_factory=list)
     terminator: str = ""  # "return" | "raise" | "continue" | "break" | ""
 
-    def to_obj(self) -> List[object]:
-        return [
-            self.kind,
-            self.line,
-            [s.to_obj() for s in self.stat_incs],
-            list(self.call_indices),
-            self.terminator,
-        ]
-
-    @classmethod
-    def from_obj(cls, obj: Sequence[object]) -> "ArmSummary":
-        return cls(
-            str(obj[0]),
-            int(obj[1]),  # type: ignore[arg-type]
-            [StatIncrement.from_obj(s) for s in obj[2]],  # type: ignore[union-attr]
-            [int(i) for i in obj[3]],  # type: ignore[union-attr]
-            str(obj[4]),
-        )
-
 
 @dataclass
 class BranchSummary:
@@ -164,17 +112,6 @@ class BranchSummary:
     line: int
     arms: List[ArmSummary] = field(default_factory=list)
     has_else: bool = False
-
-    def to_obj(self) -> List[object]:
-        return [self.line, [a.to_obj() for a in self.arms], self.has_else]
-
-    @classmethod
-    def from_obj(cls, obj: Sequence[object]) -> "BranchSummary":
-        return cls(
-            int(obj[0]),  # type: ignore[arg-type]
-            [ArmSummary.from_obj(a) for a in obj[1]],  # type: ignore[union-attr]
-            bool(obj[2]),
-        )
 
 
 @dataclass
@@ -196,43 +133,6 @@ class FunctionSummary:
     branches: List[BranchSummary] = field(default_factory=list)
     emits: List[EmitSite] = field(default_factory=list)
 
-    def to_obj(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "params": list(self.params),
-            "calls": [c.to_obj() for c in self.calls],
-            "flows": [f.to_obj() for f in self.flows],
-            "sources": [list(s) for s in self.sources],
-            "sinks": [list(s) for s in self.sinks],
-            "stat_incs": [s.to_obj() for s in self.stat_incs],
-            "branches": [b.to_obj() for b in self.branches],
-            "emits": [e.to_obj() for e in self.emits],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Dict[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(obj["qualname"]),
-            name=str(obj["name"]),
-            cls=str(obj["cls"]),
-            line=int(obj["line"]),  # type: ignore[arg-type]
-            params=[str(p) for p in obj["params"]],  # type: ignore[union-attr]
-            calls=[CallSite.from_obj(c) for c in obj["calls"]],  # type: ignore[union-attr]
-            flows=[FlowEdge.from_obj(f) for f in obj["flows"]],  # type: ignore[union-attr]
-            sources=[  # type: ignore[union-attr]
-                (str(s[0]), str(s[1]), int(s[2]), str(s[3])) for s in obj["sources"]
-            ],
-            sinks=[  # type: ignore[union-attr]
-                (str(s[0]), str(s[1]), int(s[2]), str(s[3])) for s in obj["sinks"]
-            ],
-            stat_incs=[StatIncrement.from_obj(s) for s in obj["stat_incs"]],  # type: ignore[union-attr]
-            branches=[BranchSummary.from_obj(b) for b in obj["branches"]],  # type: ignore[union-attr]
-            emits=[EmitSite.from_obj(e) for e in obj["emits"]],  # type: ignore[union-attr]
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -246,27 +146,6 @@ class ClassSummary:
     #: ``self.X = ClassName(...)`` bindings seen in any method body.
     attr_types: Dict[str, str] = field(default_factory=dict)
 
-    def to_obj(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "int_attrs": dict(self.int_attrs),
-            "methods": list(self.methods),
-            "attr_types": dict(self.attr_types),
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Dict[str, object]) -> "ClassSummary":
-        return cls(
-            name=str(obj["name"]),
-            line=int(obj["line"]),  # type: ignore[arg-type]
-            bases=[str(b) for b in obj["bases"]],  # type: ignore[union-attr]
-            int_attrs={str(k): int(v) for k, v in obj["int_attrs"].items()},  # type: ignore[union-attr]
-            methods=[str(m) for m in obj["methods"]],  # type: ignore[union-attr]
-            attr_types={str(k): str(v) for k, v in obj["attr_types"].items()},  # type: ignore[union-attr]
-        )
-
 
 @dataclass
 class PragmaInfo:
@@ -275,13 +154,6 @@ class PragmaInfo:
     line: int
     kind: str  # "disable" | "disable-file"
     rules: Tuple[str, ...]  # ("*",) for a bare disable
-
-    def to_obj(self) -> List[object]:
-        return [self.line, self.kind, list(self.rules)]
-
-    @classmethod
-    def from_obj(cls, obj: Sequence[object]) -> "PragmaInfo":
-        return cls(int(obj[0]), str(obj[1]), tuple(str(r) for r in obj[2]))  # type: ignore[arg-type, union-attr]
 
 
 @dataclass
@@ -294,29 +166,10 @@ class ConstInfo:
     #: dict: [(key, value expression text, line)]; strs: [(item, "", line)]
     entries: List[Tuple[str, str, int]] = field(default_factory=list)
 
-    def to_obj(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "line": self.line,
-            "entries": [list(e) for e in self.entries],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Dict[str, object]) -> "ConstInfo":
-        return cls(
-            name=str(obj["name"]),
-            kind=str(obj["kind"]),
-            line=int(obj["line"]),  # type: ignore[arg-type]
-            entries=[  # type: ignore[union-attr]
-                (str(e[0]), str(e[1]), int(e[2])) for e in obj["entries"]
-            ],
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """The complete serialisable fact base for one module."""
+    """The complete fact base for one module."""
 
     path: str
     module: str
@@ -328,33 +181,6 @@ class ModuleSummary:
     #: (literal, line, context) with context "kwarg" | "positional" | "field"
     model_literals: List[Tuple[str, int, str]] = field(default_factory=list)
     pragmas: List[PragmaInfo] = field(default_factory=list)
-
-    def to_obj(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "imports": dict(self.imports),
-            "functions": [f.to_obj() for f in self.functions],
-            "classes": [c.to_obj() for c in self.classes],
-            "constants": [c.to_obj() for c in self.constants],
-            "model_literals": [list(m) for m in self.model_literals],
-            "pragmas": [p.to_obj() for p in self.pragmas],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Dict[str, object]) -> "ModuleSummary":
-        return cls(
-            path=str(obj["path"]),
-            module=str(obj["module"]),
-            imports={str(k): str(v) for k, v in obj["imports"].items()},  # type: ignore[union-attr]
-            functions=[FunctionSummary.from_obj(f) for f in obj["functions"]],  # type: ignore[union-attr]
-            classes=[ClassSummary.from_obj(c) for c in obj["classes"]],  # type: ignore[union-attr]
-            constants=[ConstInfo.from_obj(c) for c in obj["constants"]],  # type: ignore[union-attr]
-            model_literals=[  # type: ignore[union-attr]
-                (str(m[0]), int(m[1]), str(m[2])) for m in obj["model_literals"]
-            ],
-            pragmas=[PragmaInfo.from_obj(p) for p in obj["pragmas"]],  # type: ignore[union-attr]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,6 @@ class WitnessStep:
     line: int
     note: str
 
-    def to_obj(self) -> Dict[str, object]:
-        return {"path": self.path, "line": self.line, "note": self.note}
-
 
 @dataclass
 class TaintFinding:
