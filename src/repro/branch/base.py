@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
+from typing import TypeVar
 
 
 def _check_pow2(value: int, what: str) -> None:
@@ -55,6 +57,9 @@ class PredictorStats:
             self.correct += 1
 
 
+_P = TypeVar("_P", bound="DirectionPredictor")
+
+
 class DirectionPredictor:
     """Interface for conditional-branch direction predictors.
 
@@ -81,3 +86,12 @@ class DirectionPredictor:
     def reset_stats(self) -> None:
         """Zero accuracy counters, keeping trained state (post-warmup)."""
         self.stats = PredictorStats()
+
+    def copy(self: _P) -> _P:
+        """An independent predictor with identical trained state and stats.
+
+        Subclasses that hold tables or component predictors extend this.
+        """
+        clone = copy.copy(self)
+        clone.stats = replace(self.stats)
+        return clone

@@ -37,3 +37,8 @@ class BimodalPredictor(DirectionPredictor):
         elif value > 0:
             self.table[index] = value - 1
         self.observe(taken, predicted)
+
+    def copy(self) -> "BimodalPredictor":
+        clone = super().copy()
+        clone.table = self.table[:]
+        return clone

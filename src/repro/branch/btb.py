@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Tuple
 
 from .base import _check_pow2
@@ -66,3 +67,9 @@ class BranchTargetBuffer:
         """Zero hit/miss counters, keeping contents (post-warmup)."""
         self.hits = 0
         self.misses = 0
+
+    def copy(self) -> "BranchTargetBuffer":
+        """An independent BTB with identical contents, LRU order and counters."""
+        clone = copy.copy(self)
+        clone._sets = [entries[:] for entries in self._sets]  # entries are tuples
+        return clone

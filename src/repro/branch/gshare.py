@@ -40,3 +40,8 @@ class GsharePredictor(DirectionPredictor):
             self.table[index] = value - 1
         self.history = ((self.history << 1) | int(taken)) & self.history_mask
         self.observe(taken, predicted)
+
+    def copy(self) -> "GsharePredictor":
+        clone = super().copy()
+        clone.table = self.table[:]
+        return clone

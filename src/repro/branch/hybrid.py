@@ -51,3 +51,10 @@ class HybridPredictor(DirectionPredictor):
         self.bimodal.update(pc, taken, bimodal_pred)
         self.gshare.update(pc, taken, gshare_pred)
         self.observe(taken, predicted)
+
+    def copy(self) -> "HybridPredictor":
+        clone = super().copy()
+        clone.chooser = self.chooser[:]
+        clone.bimodal = self.bimodal.copy()
+        clone.gshare = self.gshare.copy()
+        return clone

@@ -7,7 +7,8 @@ traffic stats), but cached data lives in the functional trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from typing import List
 
 
@@ -126,6 +127,15 @@ class Cache:
     def reset_stats(self) -> None:
         """Zero the counters (keeps contents — used after warmup)."""
         self.stats = CacheStats()
+
+    def copy(self) -> "Cache":
+        """An independent cache with identical contents, LRU order and stats."""
+        clone = copy.copy(self)
+        clone.stats = replace(self.stats)
+        clone._lines = [
+            [_Line(line.tag, line.dirty) for line in lines] for lines in self._lines
+        ]
+        return clone
 
 
 __all__ = ["Cache", "CacheConfig", "CacheStats"]

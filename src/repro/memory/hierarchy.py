@@ -7,6 +7,7 @@ share this exact model and the same traffic (Section 2.1).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,6 +77,15 @@ class MemoryHierarchy:
         if self.l1d.probe(addr, is_write=True):
             return self.l1d.config.hit_latency
         return self.l1d.config.hit_latency + self._through_l2(addr, now, True)
+
+    def copy(self) -> "MemoryHierarchy":
+        """An independent hierarchy in exactly this state (warm-starts)."""
+        clone = copy.copy(self)
+        clone.l1i = self.l1i.copy()
+        clone.l1d = self.l1d.copy()
+        clone.l2 = self.l2.copy()
+        clone.dram = copy.copy(self.dram)  # counters and bus state are ints
+        return clone
 
     def reset_stats(self) -> None:
         """Zero all counters, keeping cache contents (post-warmup)."""

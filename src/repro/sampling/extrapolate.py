@@ -43,7 +43,6 @@ their own — they recompute from the extrapolated counters.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
@@ -134,18 +133,20 @@ class _WarmWalker:
     entire trace it then simulates).  Replaying that from scratch per
     site would cost ``sites * O(trace)`` functional work; this walker
     replays the full lap once, then walks the prefix forward site by
-    site (sites are processed in trace order), handing each pipeline a
-    deep copy of the state.  The training-op sequence each site observes
-    is identical to a from-scratch replay — including cache-line-boundary
-    continuity across segments — so the measurements are too.
+    site (sites are processed in trace order), handing each pipeline an
+    exact ``copy()`` of the warm hierarchy, predictor and BTB (a tenth
+    of a generic deep copy's cost; ``docs/SAMPLING.md``, "Warmup cost").
+    The training-op sequence each site observes is identical to a
+    from-scratch replay — including cache-line-boundary continuity across
+    segments — so the measurements are too.
     """
 
     def __init__(self, trace: Trace, pipeline: OOOPipeline) -> None:
         self._trace = trace
         self._decoded = decode_trace(trace, pipeline.hier.l1i.config.line_bytes)
-        self._hier = copy.deepcopy(pipeline.hier)
-        self._predictor = copy.deepcopy(pipeline.predictor)
-        self._btb = copy.deepcopy(pipeline.btb)
+        self._hier = pipeline.hier.copy()
+        self._predictor = pipeline.predictor.copy()
+        self._btb = pipeline.btb.copy()
         self._last_block: Optional[int] = None
         self._position = 0
         self._replay(len(trace))  # the full-trace lap
@@ -162,9 +163,9 @@ class _WarmWalker:
             raise ValueError("sites must be processed in trace order")
         self._replay(site.start)
         self._position = site.start
-        pipeline.hier = copy.deepcopy(self._hier)
-        pipeline.predictor = copy.deepcopy(self._predictor)
-        pipeline.btb = copy.deepcopy(self._btb)
+        pipeline.hier = self._hier.copy()
+        pipeline.predictor = self._predictor.copy()
+        pipeline.btb = self._btb.copy()
         pipeline.hier.reset_stats()
         pipeline.predictor.reset_stats()
         pipeline.btb.reset_stats()

@@ -8,6 +8,11 @@ determinism beat asymptotics:
   plan, Lloyd iterations with index-order tie-breaking, empty clusters
   repaired by stealing the point farthest from its centroid.  Identical
   inputs and seeds produce identical assignments in any process.
+* Each assignment step takes a hint — the previous assignments, or for
+  the first step each point's nearest k-means++ seed — and starts every
+  point's search at that centroid, so the other candidates' partial
+  distances are abandoned early.  The hint changes only the work, never
+  the (distance, index)-minimum chosen.
 * :func:`select_k` scores k = 1..k_max with the Bayesian Information
   Criterion under the identical-spherical-Gaussian model (the X-means /
   SimPoint formulation) and — like SimPoint — picks the *smallest* k
@@ -63,10 +68,16 @@ class Clustering:
 
 def _init_plusplus(
     points: List[Point], k: int, rng: random.Random
-) -> List[Point]:
-    """k-means++ seeding: spread initial centroids by squared distance."""
+) -> Tuple[List[Point], List[int]]:
+    """k-means++ seeding: spread initial centroids by squared distance.
+
+    Also returns each point's nearest seed, the hint for the first
+    assignment step.
+    """
     centroids: List[Point] = [points[rng.randrange(len(points))]]
     dist = [_sq_dist(p, centroids[0]) for p in points]
+    nearest = [0] * len(points)
+    dims = len(points[0])
     while len(centroids) < k:
         total = sum(dist)
         if total <= 0.0:
@@ -82,51 +93,90 @@ def _init_plusplus(
             if acc >= pick:
                 chosen = index
                 break
-        centroids.append(points[chosen])
+        seed = points[chosen]
+        centroids.append(seed)
         for index, point in enumerate(points):
-            candidate = _sq_dist(point, centroids[-1])
-            if candidate < dist[index]:
-                dist[index] = candidate
-    return centroids
+            # Only a strictly closer seed replaces dist[index], so the
+            # partial sum can stop once it reaches it.
+            bound = dist[index]
+            candidate = 0.0
+            for dim in range(dims):
+                diff = point[dim] - seed[dim]
+                candidate += diff * diff
+                if candidate >= bound:
+                    break
+            else:
+                if candidate < bound:
+                    dist[index] = candidate
+                    nearest[index] = len(centroids) - 1
+    return centroids, nearest
 
 
-def _assign(points: List[Point], centroids: List[Point]) -> List[int]:
+def _assign(
+    points: List[Point], centroids: List[Point], hint: Sequence[int]
+) -> List[int]:
+    """Nearest centroid per point; ties go to the lowest index.
+
+    ``hint`` (a centroid index per point) only orders the search: each
+    point starts at its hinted centroid, which is usually already the
+    nearest, so the other candidates are abandoned after a few
+    dimensions.  Each term of a partial sum is non-negative, so the sum
+    never decreases; a candidate is abandoned only once it can no longer
+    beat the incumbent in (distance, index) order — on ``>`` if its
+    index is lower (it would win a tie), on ``>=`` if higher.  The result
+    is therefore the same for every hint.
+    """
     count = len(centroids)
     dims = len(points[0]) if points else 0
     assignments = []
-    for point in points:
-        best, best_dist = 0, _sq_dist(point, centroids[0])
-        for index in range(1, count):
+    for position, point in enumerate(points):
+        best = hint[position]
+        best_dist = _sq_dist(point, centroids[best])
+        for index in range(count):
+            if index == best:
+                continue
             centroid = centroids[index]
-            # Inlined squared distance with early abandonment: partial
-            # sums are monotone, so bailing at best_dist can never flip
-            # the (strict, lowest-index-wins) argmin below.
             total = 0.0
-            for dim in range(dims):
-                diff = point[dim] - centroid[dim]
-                total += diff * diff
-                if total >= best_dist:
-                    break
+            if index < best:
+                for dim in range(dims):
+                    diff = point[dim] - centroid[dim]
+                    total += diff * diff
+                    if total > best_dist:
+                        break
+                else:
+                    if total <= best_dist:  # a lower index wins a tie
+                        best, best_dist = index, total
             else:
-                if total < best_dist:  # strict: ties keep the lowest index
-                    best, best_dist = index, total
+                for dim in range(dims):
+                    diff = point[dim] - centroid[dim]
+                    total += diff * diff
+                    if total >= best_dist:
+                        break
+                else:
+                    if total < best_dist:
+                        best, best_dist = index, total
         assignments.append(best)
     return assignments
+
+
+def _members(assignments: Sequence[int], k: int) -> List[List[int]]:
+    """Point indices of each cluster, ascending, in one pass."""
+    members: List[List[int]] = [[] for _ in range(k)]
+    for index, cluster in enumerate(assignments):
+        members[cluster].append(index)
+    return members
 
 
 def _bic(points: List[Point], assignments: List[int], k: int) -> float:
     """X-means BIC under identical spherical Gaussians per cluster."""
     n = len(points)
     dims = len(points[0])
-    sizes = [0] * k
-    for cluster in assignments:
-        sizes[cluster] += 1
-    centroids: List[List[float]] = []
-    for cluster in range(k):
-        members = [i for i, c in enumerate(assignments) if c == cluster]
-        centroids.append(
-            _mean(points, members, dims) if members else [0.0] * dims
-        )
+    clusters = _members(assignments, k)
+    sizes = [len(members) for members in clusters]
+    centroids = [
+        _mean(points, members, dims) if members else [0.0] * dims
+        for members in clusters
+    ]
     distortion = sum(
         _sq_dist(points[i], centroids[assignments[i]]) for i in range(n)
     )
@@ -159,15 +209,14 @@ def kmeans(points: Sequence[Point], k: int, seed: int) -> Clustering:
     pts: List[Point] = [tuple(p) for p in points]
     k = min(k, len(pts))
     rng = random.Random(f"kmeans:{seed}:{k}")
-    centroids = _init_plusplus(pts, k, rng)
-    assignments = _assign(pts, centroids)
+    centroids, nearest = _init_plusplus(pts, k, rng)
+    assignments = _assign(pts, centroids, nearest)
     dims = len(pts[0])
     for _ in range(MAX_ITERATIONS):
         # Recompute centroids; repair empty clusters by stealing the
         # globally farthest point (keeps k populated and deterministic).
         new_centroids: List[Point] = []
-        for cluster in range(k):
-            members = [i for i, c in enumerate(assignments) if c == cluster]
+        for members in _members(assignments, k):
             if members:
                 new_centroids.append(_mean(pts, members, dims))
             else:
@@ -176,7 +225,7 @@ def kmeans(points: Sequence[Point], k: int, seed: int) -> Clustering:
                     key=lambda i: (_sq_dist(pts[i], centroids[assignments[i]]), -i),
                 )
                 new_centroids.append(list(pts[farthest]))
-        new_assignments = _assign(pts, new_centroids)
+        new_assignments = _assign(pts, new_centroids, assignments)
         centroids = new_centroids
         if new_assignments == assignments:
             break

@@ -1,5 +1,7 @@
 """Unit and property tests for the branch-prediction substrate."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -204,3 +206,100 @@ class TestRAS:
             else:
                 ras.pop()
             assert len(ras) <= 3
+
+
+PREDICTOR_KINDS = ("bimodal", "gshare", "hybrid", "taken", "nottaken", "perfect")
+
+
+def _branches(seed, count=600, invert=False):
+    """Outcomes over a few hot pcs: biased, alternating and random."""
+    rng = random.Random(seed)
+    pcs = [0x400 + 4 * i for i in range(12)]
+    out = []
+    for step in range(count):
+        pc = rng.choice(pcs)
+        if pc % 3 == 0:
+            taken = True
+        elif pc % 3 == 1:
+            taken = bool(step % 2)
+        else:
+            taken = rng.random() < 0.7
+        out.append((pc, taken != invert))
+    return out
+
+
+def _train(predictor, branches):
+    predictions = []
+    for pc, taken in branches:
+        predicted = predictor.predict(pc)
+        predictor.update(pc, taken, predicted)
+        predictions.append(predicted)
+    return predictions
+
+
+class TestPredictorCopy:
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    def test_copy_predicts_like_original(self, kind):
+        original, twin = make_predictor(kind), make_predictor(kind)
+        _train(original, _branches(1))
+        _train(twin, _branches(1))
+        clone = original.copy()
+        assert type(clone) is type(original)
+        assert clone.stats == original.stats
+        predictions = _train(original, _branches(2))
+        assert _train(clone, _branches(2)) == predictions
+        assert _train(twin, _branches(2)) == predictions
+        assert clone.stats == original.stats == twin.stats
+
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    def test_training_copy_leaves_original_untouched(self, kind):
+        original, twin = make_predictor(kind), make_predictor(kind)
+        _train(original, _branches(3))
+        _train(twin, _branches(3))
+        clone = original.copy()
+        _train(clone, _branches(4, invert=True))  # untrain every counter
+        clone.reset_stats()
+        assert _train(original, _branches(5)) == _train(twin, _branches(5))
+        assert original.stats == twin.stats
+
+
+def _btb_ops(seed, count=400):
+    rng = random.Random(seed)
+    return [
+        (rng.random() < 0.5, 4 * rng.randrange(16), rng.randrange(1 << 12))
+        for _ in range(count)
+    ]
+
+
+def _drive_btb(btb, ops):
+    answers = []
+    for is_lookup, pc, target in ops:
+        if is_lookup:
+            answers.append(btb.lookup(pc))
+        else:
+            btb.update(pc, target)
+    return answers
+
+
+class TestBTBCopy:
+    def test_copy_answers_like_original(self):
+        original, twin = BranchTargetBuffer(4, 2), BranchTargetBuffer(4, 2)
+        _drive_btb(original, _btb_ops(1))
+        _drive_btb(twin, _btb_ops(1))
+        clone = original.copy()
+        assert (clone.hits, clone.misses) == (original.hits, original.misses)
+        answers = _drive_btb(original, _btb_ops(2))
+        assert _drive_btb(clone, _btb_ops(2)) == answers
+        assert _drive_btb(twin, _btb_ops(2)) == answers
+        assert (clone.hits, clone.misses) == (original.hits, original.misses)
+        assert (twin.hits, twin.misses) == (original.hits, original.misses)
+
+    def test_driving_copy_leaves_original_untouched(self):
+        original, twin = BranchTargetBuffer(4, 2), BranchTargetBuffer(4, 2)
+        _drive_btb(original, _btb_ops(3))
+        _drive_btb(twin, _btb_ops(3))
+        clone = original.copy()
+        _drive_btb(clone, _btb_ops(4))
+        clone.reset_stats()
+        assert _drive_btb(original, _btb_ops(5)) == _drive_btb(twin, _btb_ops(5))
+        assert (original.hits, original.misses) == (twin.hits, twin.misses)

@@ -1,5 +1,7 @@
 """Unit and property tests for caches, DRAM and the hierarchy."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,3 +188,64 @@ class TestHierarchy:
         assert hier.l1d.stats.accesses == 0
         assert hier.l1i.stats.accesses == 0
         assert hier.dram.requests == 0
+
+
+def _small_hierarchy():
+    """Tiny caches, so short sequences evict, write back and queue."""
+    return MemoryHierarchy(
+        HierarchyConfig(
+            l1i=CacheConfig(name="L1I", size_bytes=512, line_bytes=64, ways=2),
+            l1d=CacheConfig(name="L1D", size_bytes=512, line_bytes=64, ways=2),
+            l2=CacheConfig(
+                name="L2", size_bytes=2048, line_bytes=128, ways=4, hit_latency=6
+            ),
+            dram=DRAMConfig(latency=40, gap=6),
+        )
+    )
+
+
+def _accesses(seed, count=400):
+    rng = random.Random(seed)
+    return [
+        (rng.choice("fls"), rng.randrange(0, 1 << 13, 8), step)
+        for step in range(count)
+    ]
+
+
+def _drive(hier, accesses):
+    ops = {"f": hier.fetch, "l": hier.load, "s": hier.store}
+    return [ops[kind](addr, now) for kind, addr, now in accesses]
+
+
+def _hier_stats(hier):
+    return (
+        hier.l1i.stats,
+        hier.l1d.stats,
+        hier.l2.stats,
+        hier.dram.requests,
+        hier.dram.total_queue_cycles,
+    )
+
+
+class TestHierarchyCopy:
+    def test_copy_answers_like_original(self):
+        original, twin = _small_hierarchy(), _small_hierarchy()
+        _drive(original, _accesses(1))
+        _drive(twin, _accesses(1))
+        clone = original.copy()
+        assert _hier_stats(clone) == _hier_stats(original)
+        latencies = _drive(original, _accesses(2))
+        assert _drive(clone, _accesses(2)) == latencies
+        assert _drive(twin, _accesses(2)) == latencies
+        assert _hier_stats(clone) == _hier_stats(original) == _hier_stats(twin)
+
+    def test_driving_copy_leaves_original_untouched(self):
+        original, twin = _small_hierarchy(), _small_hierarchy()
+        _drive(original, _accesses(3))
+        _drive(twin, _accesses(3))
+        clone = original.copy()
+        _drive(clone, _accesses(4))
+        clone.reset_stats()
+        clone.l1d.flush()
+        assert _drive(original, _accesses(5)) == _drive(twin, _accesses(5))
+        assert _hier_stats(original) == _hier_stats(twin)

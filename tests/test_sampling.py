@@ -1,23 +1,27 @@
 """Tier-1 tests for the sampled-simulation subsystem (``repro.sampling``).
 
 Covers the contracts the rest of the repo leans on: deterministic BBV
-fingerprints (cross-process, hash-seed independent), store-key
-separation between sampled and full runs, the exact-extrapolation policy
-(weights sum to one so committed instructions reconstruct exactly),
-the faults x sampling mutual exclusion, campaign integration (ambient
-plan, warm re-runs from the store) and the ``sample report`` CLI
-artifact.  Accuracy at scale is gated separately by
-``repro sample validate`` (the CI ``sample-smoke`` job runs it).
+fingerprints (cross-process, hash-seed independent), k-means
+assignment that no search hint can change, a pinned region selection,
+store-key separation between sampled and full runs, the
+exact-extrapolation policy (weights sum to one so committed
+instructions reconstruct exactly), the faults x sampling mutual
+exclusion, campaign integration (ambient plan, warm re-runs from the
+store) and the ``sample report`` CLI artifact.  Accuracy at scale is
+gated separately by ``repro sample validate`` (the CI ``sample-smoke``
+job runs it).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign import (
     Job,
@@ -35,6 +39,7 @@ from repro.sampling import (
     run_sampled,
     select_regions,
 )
+from repro.sampling.kmeans import _assign, _sq_dist
 from repro.simulation import get_trace, simulate
 from repro.validation.harness import run_case
 from repro.validation.invariants import check_sampled_tolerance
@@ -84,6 +89,79 @@ class TestBBVDeterminism:
         assert [(r.start, r.end, r.weight) for r in a.regions] == [
             (r.start, r.end, r.weight) for r in b.regions
         ]
+
+
+@st.composite
+def _assign_cases(draw):
+    """Points, centroids with forced duplicates, and an arbitrary hint."""
+    dims = draw(st.integers(1, 4))
+    coord = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    vector = st.tuples(*[coord] * dims)
+    points = draw(st.lists(vector, min_size=1, max_size=12))
+    distinct = draw(st.lists(vector, min_size=1, max_size=5))
+    duplicates = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=3))
+    centroids = draw(st.permutations(distinct + duplicates))
+    hint = draw(
+        st.lists(
+            st.integers(0, len(centroids) - 1),
+            min_size=len(points),
+            max_size=len(points),
+        )
+    )
+    return points, centroids, hint
+
+
+class TestKMeansAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(_assign_cases())
+    def test_hint_never_changes_the_assignment(self, case):
+        points, centroids, hint = case
+        brute = [
+            min(
+                range(len(centroids)),
+                key=lambda j: (_sq_dist(point, centroids[j]), j),
+            )
+            for point in points
+        ]
+        unhinted = [0] * len(points)  # a plain ascending scan
+        assert _assign(points, centroids, unhinted) == brute
+        assert _assign(points, centroids, hint) == brute
+
+
+def _selection_digest(selection) -> str:
+    payload = repr(
+        (
+            tuple(selection.phase_of),
+            tuple(
+                (r.index, r.phase, r.start, r.end, r.weight)
+                for r in selection.regions
+            ),
+            tuple((s.start, s.end, s.measured) for s in selection.sites),
+        )
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestSelectionPin:
+    """``select_regions`` output pinned bit for bit (floats via ``repr``).
+
+    Regenerate only on purpose::
+
+        _selection_digest(select_regions(get_trace(app, 6_000), SamplingPlan()))
+    """
+
+    DIGESTS = {
+        "gzip": "c060aca6a51d2ccd6c50583808b8d75272d73c050cc881f8943c8083c56a7319",
+        "mcf": "5e1b9ec60b15aae0a14901fb9d05135e1c5343070ee3e9fc77db7b5a6ade0209",
+    }
+
+    @pytest.mark.parametrize("app", sorted(DIGESTS))
+    def test_selection_digest(self, app):
+        selection = select_regions(get_trace(app, 6_000), SamplingPlan())
+        assert _selection_digest(selection) == self.DIGESTS[app]
 
 
 class TestStoreKeys:

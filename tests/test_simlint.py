@@ -17,7 +17,7 @@ import pytest
 from tools.simlint import run_paths
 from tools.simlint.cli import main as cli_main
 from tools.simlint.engine import run_analysis
-from tools.simlint.framework import all_rules, get_rule, parse_suppressions
+from tools.simlint.framework import all_rules, get_rule
 from tools.simlint.reporters import render_json, render_sarif, render_text
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -163,24 +163,48 @@ class TestSuppression:
     def test_pragmas_silence_known_bad_code(self):
         assert run_paths([fixture("suppressed.py")]) == []
 
-    def test_parse_line_pragmas(self):
-        supp = parse_suppressions(
-            ["x = 1", "y = f()  # simlint: disable=SL001,SL005", "z = 2"]
+    @staticmethod
+    def _findings(tmp_path, source: str):
+        path = tmp_path / "module.py"
+        path.write_text(source)
+        return [(v.line, v.rule_id) for v in run_paths([str(path)])]
+
+    def test_parse_line_pragmas(self, tmp_path):
+        findings = self._findings(
+            tmp_path,
+            "import time\n"
+            "def f(acc=[]): return time.time()  # simlint: disable=SL001,SL005\n"
+            "t = time.time()\n",
         )
-        assert supp.is_suppressed("SL001", 2)
-        assert supp.is_suppressed("SL005", 2)
-        assert not supp.is_suppressed("SL002", 2)
-        assert not supp.is_suppressed("SL001", 3)
+        # Both rules are silenced on the pragma line, and only there.
+        assert findings == [(3, "SL001")]
 
-    def test_parse_file_pragma(self):
-        supp = parse_suppressions(["# simlint: disable-file=SL004"])
-        assert supp.is_suppressed("SL004", 999)
-        assert not supp.is_suppressed("SL001", 999)
+    def test_pragma_naming_another_rule_leaves_finding(self, tmp_path):
+        findings = self._findings(
+            tmp_path, "import time\nt = time.time()  # simlint: disable=SL005\n"
+        )
+        assert sorted(findings) == [(2, "SL001"), (2, "SL100")]
 
-    def test_bare_disable_silences_everything_on_line(self):
-        supp = parse_suppressions(["bad()  # simlint: disable"])
-        for rule_id in RULE_IDS:
-            assert supp.is_suppressed(rule_id, 1)
+    def test_parse_file_pragma(self, tmp_path):
+        findings = self._findings(
+            tmp_path,
+            "# simlint: disable-file=SL001\n"
+            "import time\n"
+            "def f(acc=[]):\n"
+            "    return time.time()\n",
+        )
+        # Every SL001 in the file is silenced; other rules still fire.
+        assert findings == [(3, "SL005")]
+
+    def test_bare_disable_silences_everything_on_line(self, tmp_path):
+        source = "import time\ndef f(acc=[]): return time.time()\n"
+        assert {rule for _, rule in self._findings(tmp_path, source)} == {
+            "SL001",
+            "SL005",
+        }
+        assert self._findings(
+            tmp_path, source.replace("()\n", "()  # simlint: disable\n")
+        ) == []
 
 
 class TestReporters:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -32,7 +32,6 @@ from typing import (
 )
 
 from .project import ModuleInfo, ProjectIndex
-from .semantic.summary import SUPPRESS_RE as _SUPPRESS_RE
 
 if TYPE_CHECKING:
     from .engine import SemanticContext
@@ -162,42 +161,6 @@ def get_rule(rule_id: str) -> Rule:
         raise KeyError(
             f"unknown rule {rule_id!r}; known: {', '.join(sorted(_REGISTRY))}"
         ) from None
-
-
-@dataclass
-class Suppressions:
-    """Per-file suppression state parsed from the source text."""
-
-    by_line: Dict[int, set] = field(default_factory=dict)
-    file_wide: set = field(default_factory=set)
-
-    def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if ALL in self.file_wide or rule_id in self.file_wide:
-            return True
-        rules = self.by_line.get(line)
-        if rules is None:
-            return False
-        return ALL in rules or rule_id in rules
-
-
-def parse_suppressions(source_lines: Sequence[str]) -> Suppressions:
-    """Extract ``# simlint: disable...`` pragmas from source text."""
-    supp = Suppressions()
-    for lineno, text in enumerate(source_lines, start=1):
-        match = _SUPPRESS_RE.search(text)
-        if not match:
-            continue
-        kind, spec = match.group(1), match.group(2)
-        rules = (
-            {item.strip() for item in spec.split(",") if item.strip()}
-            if spec
-            else {ALL}
-        )
-        if kind == "disable-file":
-            supp.file_wide |= rules
-        else:
-            supp.by_line.setdefault(lineno, set()).update(rules)
-    return supp
 
 
 def run_paths(

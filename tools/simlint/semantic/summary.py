@@ -668,7 +668,7 @@ class _FunctionExtractor(ast.NodeVisitor):
 
 import re as _re
 
-#: Pragma syntax shared with the framework's suppression filter.
+#: Pragma syntax; the engine filters findings through the parsed pragmas.
 SUPPRESS_RE = _re.compile(
     r"#\s*simlint:\s*(disable-file|disable)\s*(?:=\s*([A-Za-z0-9_,\s]+))?"
 )
