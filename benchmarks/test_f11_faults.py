@@ -9,6 +9,7 @@ def test_f11_fault_coverage(run_experiment):
     result = run_experiment(
         "F11", apps=("gzip", "gcc"), n_insts=bench_n(12_000), faults_per_kind=4
     )
-    assert result.cells[EXEC_PRIMARY].coverage == 1.0
-    assert result.cells[EXEC_DUP].coverage == 1.0
-    assert result.cells[FORWARD_BOTH].detected == 0  # the conceded escape
+    coverage = result.column("coverage")
+    assert coverage[EXEC_PRIMARY] == 1.0
+    assert coverage[EXEC_DUP] == 1.0
+    assert result.column("detected")[FORWARD_BOTH] == 0  # the conceded escape

@@ -5,6 +5,7 @@ from conftest import bench_apps, bench_n
 
 def test_t2_baseline_characteristics(run_experiment):
     result = run_experiment("T2", apps=bench_apps(), n_insts=bench_n())
-    for row in result.entries:
-        assert row.sie_ipc > 0
-        assert row.die_ipc <= row.sie_ipc * 1.001
+    sie, die = result.column("SIE IPC"), result.column("DIE IPC")
+    for app in sie:
+        assert sie[app] > 0
+        assert die[app] <= sie[app] * 1.001

@@ -15,6 +15,10 @@ in a local directory through one of two backends:
 * :class:`~repro.service.backends.SqliteBackend` adds a derived
   ``index.sqlite`` for O(1) listing/filtering over large stores.
 
+Beside results the store keeps one other document kind, the fuzz
+corpus (``<key>.fuzz.json``).  Run profiles are not stored: ``repro
+trace --profile FILE`` writes them as plain files.
+
 Writes are atomic *and durable* (fsync'd temp file + ``os.replace`` +
 parent-directory fsync), so a campaign killed mid-write never leaves a
 truncated entry, and concurrent campaigns sharing a store at worst both
@@ -33,12 +37,10 @@ from ..core import SimStats
 from ..isa import FUClass
 from ..service.backends import (
     KIND_FUZZ,
-    KIND_PROFILE,
     KIND_RESULT,
     DirectoryBackend,
     StoreStats,
 )
-from ..telemetry.profile import RunProfile
 from .jobs import Job, Provenance
 from .keys import job_key, job_spec
 
@@ -149,41 +151,12 @@ class ResultStore:
         self.writes += 1
         return key
 
-    # -- profiles ------------------------------------------------------
-    #
-    # A telemetry run profile (repro.telemetry.profile.RunProfile) can be
-    # persisted next to the result entry it describes, under the same
-    # content key with a ``.profile.json`` suffix.  Profiles are optional
-    # side-cars: result reads, key listings and the session counters
-    # never see them.
-
-    def put_profile(self, job: Job, profile: RunProfile) -> str:
-        """Persist ``job``'s run profile atomically; returns the key."""
-        key = job_key(job)
-        document = profile.to_dict()
-        document["key"] = key
-        self.backend.write(KIND_PROFILE, key, document)
-        return key
-
-    def get_profile(self, key: str) -> Optional[RunProfile]:
-        """Load the stored profile for ``key``; ``None`` when absent/corrupt."""
-        document = self.backend.read(KIND_PROFILE, key)
-        if document is None:
-            return None
-        try:
-            return RunProfile.from_dict(document)
-        except (ValueError, KeyError, TypeError):
-            return None
-
-    def get_profile_for_job(self, job: Job) -> Optional[RunProfile]:
-        return self.get_profile(job_key(job))
-
     # -- fuzz corpus ---------------------------------------------------
     #
     # The validation subsystem (repro.validation) persists divergent
-    # fuzz cases as ``<key>.fuzz.json`` side-cars.  Unlike profiles they
-    # are standalone documents — the key is a content hash of the replay
-    # spec, not of any campaign job — but they share the store's shard
+    # fuzz cases as ``<key>.fuzz.json`` documents.  They are standalone
+    # — the key is a content hash of the replay spec, not of any
+    # campaign job — but they share the store's shard
     # layout and atomic-write discipline so campaigns and fuzz corpora
     # can live in one directory tree.
 
@@ -212,8 +185,8 @@ class ResultStore:
         return self.backend.contains(KIND_RESULT, key)
 
     def clear(self) -> int:
-        """Delete every entry, profile side-car and fuzz-corpus document;
-        returns how many result entries were removed."""
+        """Delete every result and fuzz-corpus document; returns how many
+        result entries were removed."""
         return self.backend.clear()
 
     def stats(self) -> StoreStats:

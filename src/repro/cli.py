@@ -11,8 +11,8 @@ Commands:
 * ``trace`` — one instrumented run: Chrome trace JSON (Perfetto), an
   optional ASCII pipeview, an optional run profile
   (see ``docs/TELEMETRY.md``).
-* ``profile diff`` — perun-style degradation check between two stored
-  run profiles; exits non-zero when a metric regressed past the
+* ``profile diff`` — perun-style degradation check between two run
+  profile files; exits non-zero when a metric regressed past the
   threshold.
 * ``fuzz`` — differential fuzzing: seeded random programs through the
   functional oracle plus every timing model, invariant-checked, with
@@ -27,9 +27,8 @@ Commands:
   from the store; a warm query executes zero simulations
   (see ``docs/SERVICE.md``).
 * ``store stats|gc|migrate`` — store housekeeping: per-kind entry
-  counts and sizes, garbage collection (stale temp files, orphaned
-  profile side-cars, corrupt documents), and the directory → sqlite
-  index migration.
+  counts and sizes, garbage collection (stale temp files, corrupt
+  documents), and the directory → sqlite index rebuild.
 """
 
 from __future__ import annotations
@@ -128,12 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile", default=None, metavar="FILE",
         help="also write a run profile (for `repro profile diff`)",
     )
-    trace.add_argument(
-        "--store-profile", action="store_true",
-        help="also persist the profile into the campaign result store",
-    )
-    trace.add_argument("--store-dir", default=None, metavar="DIR",
-                       help="result-store root (default results/store)")
     trace.add_argument("--no-warmup", action="store_true")
     _add_sampling_args(trace)
 
@@ -142,14 +135,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pdiff = prof_sub.add_parser(
         "diff", help="compare two run profiles (non-zero exit on regression)"
     )
-    pdiff.add_argument("baseline", help="profile JSON path or store key")
-    pdiff.add_argument("target", help="profile JSON path or store key")
+    pdiff.add_argument("baseline", help="profile JSON path")
+    pdiff.add_argument("target", help="profile JSON path")
     pdiff.add_argument(
         "--threshold", type=float, default=5.0, metavar="PCT",
         help="relative change (%%) tolerated before a verdict (default 5)",
     )
-    pdiff.add_argument("--store-dir", default=None, metavar="DIR",
-                       help="result-store root for key lookups")
     pdiff.add_argument(
         "--json", action="store_true", help="emit the comparison as JSON"
     )
@@ -197,8 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     st_gc = st_sub.add_parser(
         "gc",
-        help="prune stale temp files, orphaned profile side-cars and "
-             "corrupt documents",
+        help="prune stale temp files and corrupt documents",
     )
     st_gc.add_argument("--dry-run", action="store_true",
                        help="report, do not delete")
@@ -382,10 +372,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    unknown = [m for m in models if m not in MODELS]
-    if unknown:
-        print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
+    models = _selection("models", args.models, list(MODELS))
+    if models is None:
         return 2
     if "sie" not in models:
         models.insert(0, "sie")  # the loss baseline
@@ -526,43 +514,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.profile:
         save_profile(profile, args.profile)
         print(f"wrote run profile to {args.profile}", file=sys.stderr)
-    if args.store_profile:
-        from .campaign import Job
-
-        store = ResultStore(Path(args.store_dir) if args.store_dir else None)
-        job = Job(
-            args.workload, args.n, seed=args.seed, model=args.model,
-            warmup=not args.no_warmup,
-        )
-        key = store.put_profile(job, profile)
-        print(f"stored run profile under key {key}", file=sys.stderr)
     return 0
-
-
-def _load_profile_arg(spec: str, store_dir: Optional[str]) -> "object":
-    """Resolve a profile argument: a JSON path first, then a store key."""
-    from .telemetry import load_profile
-
-    if Path(spec).is_file():
-        return load_profile(spec)
-    store = ResultStore(Path(store_dir) if store_dir else None)
-    profile = store.get_profile(spec)
-    if profile is None:
-        raise FileNotFoundError(
-            f"{spec!r} is neither a profile file nor a stored profile key"
-        )
-    return profile
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .telemetry import diff_profiles
+    from .telemetry import diff_profiles, load_profile
 
     try:
-        baseline = _load_profile_arg(args.baseline, args.store_dir)
-        target = _load_profile_arg(args.target, args.store_dir)
-    except (FileNotFoundError, ValueError) as error:
+        baseline = load_profile(args.baseline)
+        target = load_profile(args.target)
+    except (OSError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
     diff = diff_profiles(baseline, target, threshold_pct=args.threshold)
@@ -677,13 +640,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
-    from .service.maintenance import collect_garbage, migrate_index, store_stats
+    from .service.backends import SqliteBackend
+    from .service.maintenance import collect_garbage
 
     store = _open_store(args.store_dir, args.backend)
     if store is None:
         return 2
     if args.store_command == "migrate":
-        rows = migrate_index(store.root)
+        rows = SqliteBackend(store.root).rebuild_index()
         if args.json:
             print(json.dumps({"root": str(store.root), "indexed": rows}))
         else:
@@ -691,14 +655,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     if args.store_command == "stats":
-        payload = store_stats(store.backend)
+        payload = store.backend.stats().to_dict()
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
             return 0
         print(f"store: {payload['backend']}")
-        for kind in ("result", "profile", "fuzz"):
-            count = payload["entries"].get(kind, 0)
-            size = payload["bytes"].get(kind, 0)
+        for kind, count in payload["entries"].items():
+            size = payload["bytes"][kind]
             print(f"  {kind + ':':9s} {count:6d} entries, {size} bytes")
         if payload.get("index_bytes"):
             print(f"  index:    {payload['index_bytes']} bytes")
@@ -718,7 +681,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(
             f"gc: {verb} {payload['total_removed']} item(s) "
             f"({payload['tmp_removed']} temp, "
-            f"{payload['orphan_profiles']} orphaned profile(s), "
             f"{sum(payload['corrupt'].values())} corrupt), "
             f"{payload['bytes_reclaimed']} bytes"
         )
@@ -949,11 +911,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 0
 
     models = None
-    if args.models:
-        models = [m.strip() for m in args.models.split(",") if m.strip()]
-        unknown = [m for m in models if m not in MODELS]
-        if unknown:
-            print(f"unknown models: {', '.join(unknown)}", file=sys.stderr)
+    if args.models is not None:
+        models = _selection("models", args.models, list(MODELS))
+        if models is None:
             return 2
 
     if args.replay:

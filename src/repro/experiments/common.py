@@ -8,8 +8,8 @@ laptop.
 
 The store-backed experiments are declarations for :func:`build_table`:
 the model variants to simulate, one ``(header, fn)`` pair per column,
-and the table's title, precision and trailing note.  Their result is a
-:class:`Table`.
+and the table's title, precision and trailing note.  Their result, and
+that of the direct experiments T2 and F11, is a :class:`Table`.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ def run_models(
     """Simulate one app under several (key, model, config, irb) variants.
 
     The trace is generated once and shared across all variants.  This is
-    the *direct* path: results keep their live pipeline objects, for the
-    experiments (T2) that read state beyond ``SimStats``.  Everything
-    else should go through :func:`run_apps`, which parallelises and hits
-    the campaign result store.
+    the *direct* path: results keep their live pipeline objects, for T2,
+    which tabulates cache miss rates read from the live hierarchy beside
+    ``SimStats``.  Everything else should go through :func:`run_apps`,
+    which parallelises and hits the campaign result store.
     """
     trace = get_trace(app, n_insts, seed)
     out = AppRun(app=app, n_insts=n_insts, seed=seed)
@@ -144,7 +144,7 @@ Column = Tuple[str, Callable[..., object]]
 
 @dataclass(frozen=True)
 class Table:
-    """A store-backed experiment's result: a titled table under headers.
+    """An experiment's result: a titled table under headers.
 
     ``body`` holds one row per app (or per swept value), each led by its
     label; ``rows()`` appends the column means as an ``average`` row

@@ -19,7 +19,6 @@ checker's mismatch counter attributes detection unambiguously.  Scenarios:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..isa import is_reusable
@@ -32,44 +31,15 @@ from ..redundancy import (
     Fault,
     FaultInjector,
 )
-from ..simulation import format_table, get_trace, simulate
+from ..simulation import get_trace, simulate
+from .common import Table
 
 DEFAULT_FAULT_APPS = ("gzip", "gcc")
 DEFAULT_FAULTS_PER_KIND = 6
 
 _KINDS = (EXEC_PRIMARY, EXEC_DUP, FORWARD_SINGLE, FORWARD_BOTH, IRB_ENTRY)
 
-
-@dataclass
-class CoverageCell:
-    injected: int = 0
-    detected: int = 0
-    latent: int = 0
-
-    @property
-    def coverage(self) -> float:
-        active = self.injected
-        return self.detected / active if active else 1.0
-
-
-@dataclass
-class CoverageResult:
-    apps: List[str]
-    model: str
-    cells: Dict[str, CoverageCell]  # kind -> aggregate
-
-    def rows(self):
-        return [
-            (kind, c.injected, c.detected, c.latent, c.coverage)
-            for kind, c in self.cells.items()
-        ]
-
-    def render(self) -> str:
-        return format_table(
-            ["fault kind", "injected", "detected", "latent", "coverage"],
-            self.rows(),
-            title=f"F11: fault coverage under {self.model.upper()}",
-        )
+HEADERS = ("fault kind", "injected", "detected", "latent", "coverage")
 
 
 def _target_seqs(trace, count: int) -> List[int]:
@@ -99,10 +69,15 @@ def run(
     seed: int = 1,
     model: str = "die-irb",
     faults_per_kind: int = DEFAULT_FAULTS_PER_KIND,
-) -> CoverageResult:
-    """Inject one fault per run; aggregate detection by kind."""
+) -> Table:
+    """Inject one fault per run; aggregate detection by kind.
+
+    ``coverage`` is detected / injected, 1.0 for a kind never injected.
+    """
     kinds = _KINDS if model == "die-irb" else _KINDS[:4]
-    cells = {kind: CoverageCell() for kind in kinds}
+    injected: Dict[str, int] = dict.fromkeys(kinds, 0)
+    detected = dict(injected)
+    latent = dict(injected)
     for app in apps:
         trace = get_trace(app, n_insts, seed)
         seqs = _target_seqs(trace, faults_per_kind)
@@ -117,10 +92,19 @@ def run(
             for plan in plans:
                 injector = FaultInjector(plan)
                 result = simulate(trace, model=model, fault_injector=injector)
-                cell = cells[kind]
-                cell.injected += injector.log.injected
-                cell.latent += injector.log.latent
-                cell.detected += min(
+                injected[kind] += injector.log.injected
+                latent[kind] += injector.log.latent
+                detected[kind] += min(
                     injector.log.injected, result.stats.check_mismatches
                 )
-    return CoverageResult(apps=list(apps), model=model, cells=cells)
+    body = tuple(
+        (
+            kind,
+            injected[kind],
+            detected[kind],
+            latent[kind],
+            detected[kind] / injected[kind] if injected[kind] else 1.0,
+        )
+        for kind in kinds
+    )
+    return Table(f"F11: fault coverage under {model.upper()}", HEADERS, body)

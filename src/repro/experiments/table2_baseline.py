@@ -7,79 +7,37 @@ quotes art's pair, 0.7316 / 0.4113, in Section 2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
-from ..simulation import format_table, get_trace
-from .common import DEFAULT_APPS, DEFAULT_N, run_models
+from ..simulation import get_trace
+from .common import DEFAULT_APPS, DEFAULT_N, SIE, Table, plain, run_models
 
-
-@dataclass
-class Table2Row:
-    app: str
-    sie_ipc: float
-    die_ipc: float
-    loss_pct: float
-    branch_mpki: float
-    l1d_miss_rate: float
-    l2_miss_rate: float
-    reuse_bound: float
-
-
-@dataclass
-class Table2Result:
-    entries: List[Table2Row]
-
-    def rows(self):
-        return [
-            (
-                r.app,
-                r.sie_ipc,
-                r.die_ipc,
-                r.loss_pct,
-                r.branch_mpki,
-                r.l1d_miss_rate,
-                r.l2_miss_rate,
-                r.reuse_bound,
-            )
-            for r in self.entries
-        ]
-
-    def render(self) -> str:
-        return format_table(
-            ["app", "SIE IPC", "DIE IPC", "loss%", "br-MPKI", "L1D miss", "L2 miss", "reuse-bound"],
-            self.rows(),
-            title="T2: baseline characteristics (SIE vs DIE)",
-        )
+HEADERS = (
+    "app", "SIE IPC", "DIE IPC", "loss%", "br-MPKI", "L1D miss", "L2 miss", "reuse-bound",
+)
 
 
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     n_insts: int = DEFAULT_N,
     seed: int = 1,
-) -> Table2Result:
+) -> Table:
     """Measure baseline SIE/DIE behaviour for every application."""
-    entries = []
+    body = []
     for app in apps:
-        runs = run_models(
-            app,
-            [("sie", "sie", None, None), ("die", "die", None, None)],
-            n_insts=n_insts,
-            seed=seed,
-        )
+        runs = run_models(app, [SIE, plain("die")], n_insts=n_insts, seed=seed)
         sie = runs.results["sie"]
-        pipeline = sie.pipeline
-        trace = get_trace(app, n_insts, seed)
-        entries.append(
-            Table2Row(
-                app=app,
-                sie_ipc=sie.ipc,
-                die_ipc=runs.ipc("die"),
-                loss_pct=runs.loss("die"),
-                branch_mpki=1000.0 * sie.stats.mispredicts / n_insts,
-                l1d_miss_rate=pipeline.hier.l1d.stats.miss_rate,
-                l2_miss_rate=pipeline.hier.l2.stats.miss_rate,
-                reuse_bound=trace.summary().value_repetition,
+        hier = sie.pipeline.hier
+        body.append(
+            (
+                app,
+                sie.ipc,
+                runs.ipc("die"),
+                runs.loss("die"),
+                1000.0 * sie.stats.mispredicts / n_insts,
+                hier.l1d.stats.miss_rate,
+                hier.l2.stats.miss_rate,
+                get_trace(app, n_insts, seed).summary().value_repetition,
             )
         )
-    return Table2Result(entries=entries)
+    return Table("T2: baseline characteristics (SIE vs DIE)", HEADERS, tuple(body))

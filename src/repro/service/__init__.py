@@ -10,10 +10,9 @@ simulating.  This package promotes that store into a service:
   sqlite-indexed variant for O(1) metadata queries over 10k+ entries
   (:class:`~.backends.SqliteBackend`).
 * :mod:`.server` — ``repro serve``, a thin stdlib HTTP API answering
-  result/experiment/profile queries straight from the store; a warm
+  result/experiment/fuzz queries straight from the store; a warm
   query executes zero simulations.
-* :mod:`.maintenance` — store statistics, garbage collection and the
-  directory→sqlite index migration behind ``repro store``.
+* :mod:`.maintenance` — garbage collection behind ``repro store gc``.
 
 Only the backend layer is imported eagerly (the campaign store depends
 on it); the server is imported by the CLI on demand::
@@ -27,7 +26,6 @@ API routes and the consistency semantics.
 
 from .backends import (
     KIND_FUZZ,
-    KIND_PROFILE,
     KIND_RESULT,
     KINDS,
     DirectoryBackend,
@@ -39,7 +37,6 @@ from .backends import (
 
 __all__ = [
     "KIND_FUZZ",
-    "KIND_PROFILE",
     "KIND_RESULT",
     "KINDS",
     "DirectoryBackend",

@@ -6,8 +6,11 @@ layer exclusively through :class:`DirectoryBackend`: a flat map from
 
 * ``"result"`` — a campaign result (``{format, key, spec, stats,
   provenance}``),
-* ``"profile"`` — a telemetry run-profile side-car,
 * ``"fuzz"`` — a standalone fuzz-corpus document.
+
+Every key is a 64-hex-digit SHA-256 digest; any other file in a shard
+(a ``<key>.profile.json`` side-car written by older code, say) is
+foreign and no listing, count or ``clear()`` sees it.
 
 Two implementations ship:
 
@@ -18,9 +21,10 @@ Two implementations ship:
 * :class:`SqliteBackend` — the same file layout plus an ``index.sqlite``
   side-car holding per-entry metadata (workload, model, n_insts, seed,
   sampled, size).  Documents stay plain files — the index is purely
-  derived state, rebuilt from the directory on corruption or via
-  ``repro store migrate`` — but key listing, filtered queries and store
-  statistics become single SELECTs instead of a 10k-file directory walk.
+  derived state, built from the directory when it is missing or
+  corrupt, and rebuilt on demand by ``repro store migrate`` — but key
+  listing, filtered queries and store statistics become single SELECTs
+  instead of a 10k-file directory walk.
 
 Durability note (the torn-write guarantee): ``write_json_atomic`` fsyncs
 the temp file *before* the rename and the parent directory *after* it,
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sqlite3
 import tempfile
 import threading
@@ -46,17 +51,20 @@ OpFn = Callable[[sqlite3.Connection], object]
 
 #: Document kinds (suffix-disambiguated in the directory layout).
 KIND_RESULT = "result"
-KIND_PROFILE = "profile"
 KIND_FUZZ = "fuzz"
-KINDS: Tuple[str, ...] = (KIND_RESULT, KIND_PROFILE, KIND_FUZZ)
+KINDS: Tuple[str, ...] = (KIND_RESULT, KIND_FUZZ)
 
-#: File-name suffix per kind.  Ordering matters when classifying a path:
-#: ``.profile.json`` and ``.fuzz.json`` must be tested before ``.json``.
+#: File-name suffix per kind.
 _SUFFIXES: Dict[str, str] = {
     KIND_RESULT: ".json",
-    KIND_PROFILE: ".profile.json",
     KIND_FUZZ: ".fuzz.json",
 }
+
+#: A store file name: a SHA-256 hex key, then a kind suffix.
+_KIND_BY_SUFFIX: Dict[str, str] = {suffix: kind for kind, suffix in _SUFFIXES.items()}
+_STORE_NAME = re.compile(
+    r"([0-9a-f]{64})(" + "|".join(map(re.escape, _KIND_BY_SUFFIX)) + ")"
+)
 
 #: Prefix of in-flight temp files (never visible to readers).
 TMP_PREFIX = ".tmp-"
@@ -67,7 +75,7 @@ class EntryMeta:
     """One entry's queryable metadata (no stats payload).
 
     ``workload``/``model``/``n_insts``/``seed``/``sampled`` are taken
-    from a result document's spec; side-car kinds carry only key/size.
+    from a result document's spec; fuzz documents carry only key/size.
     """
 
     key: str
@@ -188,13 +196,10 @@ def _meta_from_document(kind: str, key: str, size: int, document: dict) -> Entry
 
 def classify_filename(name: str) -> Optional[Tuple[str, str]]:
     """``(kind, key)`` for one store file name; ``None`` for foreign files."""
-    if name.startswith(TMP_PREFIX):
+    match = _STORE_NAME.fullmatch(name)
+    if match is None:
         return None
-    for kind in (KIND_PROFILE, KIND_FUZZ, KIND_RESULT):  # longest suffix first
-        suffix = _SUFFIXES[kind]
-        if name.endswith(suffix):
-            return kind, name[: -len(suffix)]
-    return None
+    return _KIND_BY_SUFFIX[match.group(2)], match.group(1)
 
 
 class DirectoryBackend:
@@ -348,6 +353,25 @@ class DirectoryBackend:
         return f"{self.name}:{self.root}"
 
 
+def _upsert(connection: sqlite3.Connection, meta: EntryMeta) -> None:
+    """Insert or replace one entry's index row (caller commits)."""
+    connection.execute(
+        "INSERT OR REPLACE INTO entries"
+        " (kind, key, workload, model, n_insts, seed, sampled, bytes)"
+        " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            meta.kind,
+            meta.key,
+            meta.workload,
+            meta.model,
+            meta.n_insts,
+            meta.seed,
+            1 if meta.sampled else 0,
+            meta.size_bytes,
+        ),
+    )
+
+
 class SqliteBackend(DirectoryBackend):
     """Directory layout plus a derived sqlite metadata index.
 
@@ -358,11 +382,13 @@ class SqliteBackend(DirectoryBackend):
     :meth:`entries` (including workload/model filters) and
     :meth:`stats` become single indexed SELECTs.
 
-    The index is *derived* state: any :class:`sqlite3.DatabaseError`
-    (corruption, foreign schema, partial write) triggers a transparent
-    rebuild from the directory, and ``repro store migrate`` performs the
-    same rebuild explicitly — e.g. after another process wrote to the
-    root through a plain :class:`DirectoryBackend`.
+    The index is *derived* state: a missing index, a foreign schema
+    version or any :class:`sqlite3.DatabaseError` (corruption, partial
+    write) triggers a transparent build from the directory, so a store
+    filled through a plain :class:`DirectoryBackend` lists every entry on
+    first open.  Drift after the index exists (another process writing
+    through a plain :class:`DirectoryBackend`) is repaired by ``repro
+    store migrate``, which performs the same rebuild explicitly.
     """
 
     name = "sqlite"
@@ -395,38 +421,16 @@ class SqliteBackend(DirectoryBackend):
         return connection
 
     def _ensure_schema(self, connection: sqlite3.Connection) -> None:
+        """Build the index from the directory unless it already holds
+        this schema version (a new, empty index file holds none)."""
         connection.execute(
             "CREATE TABLE IF NOT EXISTS meta (k TEXT PRIMARY KEY, v TEXT)"
         )
         row = connection.execute(
             "SELECT v FROM meta WHERE k = 'schema_version'"
         ).fetchone()
-        if row is not None and int(row[0]) != self.SCHEMA_VERSION:
+        if row is None or int(row[0]) != self.SCHEMA_VERSION:
             self._rebuild_locked(connection)
-            return
-        connection.execute(
-            "CREATE TABLE IF NOT EXISTS entries ("
-            " kind TEXT NOT NULL,"
-            " key TEXT NOT NULL,"
-            " workload TEXT,"
-            " model TEXT,"
-            " n_insts INTEGER,"
-            " seed INTEGER,"
-            " sampled INTEGER NOT NULL DEFAULT 0,"
-            " bytes INTEGER NOT NULL DEFAULT 0,"
-            " PRIMARY KEY (kind, key))"
-        )
-        connection.execute(
-            "CREATE INDEX IF NOT EXISTS idx_entries_filter"
-            " ON entries (kind, workload, model)"
-        )
-        if row is None:
-            connection.execute(
-                "INSERT OR REPLACE INTO meta (k, v) VALUES"
-                " ('schema_version', ?)",
-                (str(self.SCHEMA_VERSION),),
-            )
-            connection.commit()
 
     def _drop_connection(self) -> None:
         connection = getattr(self._local, "connection", None)
@@ -454,10 +458,13 @@ class SqliteBackend(DirectoryBackend):
             self.index_path.unlink()
         except OSError:
             pass
-        connection = self._connect()
-        return self._rebuild_locked(connection)
+        connection = self._connect()  # builds the now-missing index
+        return connection.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
 
-    def _rebuild_locked(self, connection: sqlite3.Connection) -> int:
+    def _rebuild_locked(self, connection: sqlite3.Connection) -> None:
+        # One transaction: a concurrent connection sees the old index or
+        # the whole new one, never a half-built table.
+        connection.execute("BEGIN IMMEDIATE")
         connection.execute("DROP TABLE IF EXISTS entries")
         connection.execute("DROP TABLE IF EXISTS meta")
         connection.execute("CREATE TABLE meta (k TEXT PRIMARY KEY, v TEXT)")
@@ -480,28 +487,10 @@ class SqliteBackend(DirectoryBackend):
         connection.execute(
             "CREATE INDEX idx_entries_filter ON entries (kind, workload, model)"
         )
-        rows = 0
         for kind in KINDS:
             for meta in self._dir_entries(kind):
-                connection.execute(
-                    "INSERT OR REPLACE INTO entries"
-                    " (kind, key, workload, model, n_insts, seed, sampled,"
-                    "  bytes)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        meta.kind,
-                        meta.key,
-                        meta.workload,
-                        meta.model,
-                        meta.n_insts,
-                        meta.seed,
-                        1 if meta.sampled else 0,
-                        meta.size_bytes,
-                    ),
-                )
-                rows += 1
+                _upsert(connection, meta)
         connection.commit()
-        return rows
 
     # -- writes keep the index in step ---------------------------------
 
@@ -510,21 +499,7 @@ class SqliteBackend(DirectoryBackend):
         meta = _meta_from_document(kind, key, size, document)
 
         def upsert(connection: sqlite3.Connection) -> None:
-            connection.execute(
-                "INSERT OR REPLACE INTO entries"
-                " (kind, key, workload, model, n_insts, seed, sampled, bytes)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    kind,
-                    key,
-                    meta.workload,
-                    meta.model,
-                    meta.n_insts,
-                    meta.seed,
-                    1 if meta.sampled else 0,
-                    size,
-                ),
-            )
+            _upsert(connection, meta)
             connection.commit()
 
         self._run(upsert)

@@ -13,12 +13,10 @@ Routes::
 
     GET  /healthz                       liveness + store backend
     GET  /result/<key>                  raw stored result document
-    GET  /profile/<key>                 raw telemetry run-profile side-car
     GET  /fuzz/<key>                    raw fuzz-corpus document
     GET  /entries?kind=&workload=&model=   filtered metadata listing
     GET  /store/stats                   per-kind counts/bytes + counters
     GET  /experiment/<id>?...           store-only experiment replay
-    GET  /diff?baseline=&target=&threshold=   stored-profile degradation check
     POST /job                           job spec -> content key resolution
 
 The server has no write route: the store is written only by campaigns
@@ -157,33 +155,6 @@ class ReproServer(ThreadingHTTPServer):
             "rows": result.rows(),
         }
 
-    def diff_profiles(self, query: Dict[str, str]) -> dict:
-        """Degradation check between two stored run profiles."""
-        from ..telemetry import diff_profiles
-
-        baseline_key = query.get("baseline", "")
-        target_key = query.get("target", "")
-        if not baseline_key or not target_key:
-            raise ServeError(400, "diff needs baseline=<key> and target=<key>")
-        baseline = self.store.get_profile(baseline_key)
-        target = self.store.get_profile(target_key)
-        missing = [
-            key
-            for key, profile in (
-                (baseline_key, baseline),
-                (target_key, target),
-            )
-            if profile is None
-        ]
-        if missing:
-            raise ServeError(404, f"no stored profile for: {', '.join(missing)}")
-        try:
-            threshold = float(query.get("threshold", "5.0"))
-        except ValueError:
-            raise ServeError(400, "threshold must be a number") from None
-        assert baseline is not None and target is not None
-        return diff_profiles(baseline, target, threshold_pct=threshold).to_dict()
-
     def stats_payload(self) -> dict:
         payload = self.store.stats().to_dict()
         payload["simulations_executed"] = self.simulations_executed
@@ -266,9 +237,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             ]
             self._send_json(200, {"kind": kind, "count": len(entries), "entries": entries})
-            return
-        if path == "/diff":
-            self._send_json(200, self.server.diff_profiles(query))
             return
         if path.startswith("/experiment/"):
             exp_id = path[len("/experiment/"):]

@@ -91,6 +91,18 @@ class TestCompareModels:
         assert main(["compare", "gzip", "--models", "die,warp"]) == 2
         assert "warp" in capsys.readouterr().err
 
+    def test_empty_model_list_rejected(self, capsys):
+        assert main(["compare", "gzip", "--models", ","]) == 2
+        assert "no models given" in capsys.readouterr().err
+
+
+class TestFuzzModels:
+    def test_empty_model_list_rejected(self, capsys):
+        assert main(["fuzz", "--n", "1", "--no-store", "--models", ","]) == 2
+        captured = capsys.readouterr()
+        assert "no models given" in captured.err
+        assert "fuzz:" not in captured.out
+
 
 class TestCompareJson:
     def test_compare_json_rows(self, capsys):

@@ -32,9 +32,10 @@ class TestTableExperiments:
 
     def test_t2_reports_both_ipcs(self):
         result = get_experiment("T2").run(**SMALL)
-        assert len(result.entries) == 2
-        for row in result.entries:
-            assert row.sie_ipc >= row.die_ipc > 0
+        sie, die = result.column("SIE IPC"), result.column("DIE IPC")
+        assert len(sie) == 2
+        for app in sie:
+            assert sie[app] >= die[app] > 0
         assert "gzip" in result.render()
 
 
@@ -122,9 +123,10 @@ class TestFaultCoverage:
         )
         from repro.redundancy import EXEC_DUP, EXEC_PRIMARY, FORWARD_BOTH
 
-        assert result.cells[EXEC_PRIMARY].coverage == 1.0
-        assert result.cells[EXEC_DUP].coverage == 1.0
-        assert result.cells[FORWARD_BOTH].detected == 0
+        coverage = result.column("coverage")
+        assert coverage[EXEC_PRIMARY] == 1.0
+        assert coverage[EXEC_DUP] == 1.0
+        assert result.column("detected")[FORWARD_BOTH] == 0
 
     def test_f11_renders(self):
         result = get_experiment("F11").run(

@@ -4,8 +4,11 @@ The contract under test:
 
 * both store backends answer the same (kind, key) -> document
   interface, with byte-fidelity on ``read_raw``;
-* the sqlite index is derived state — corruption and drift are repaired
-  by rebuild, and queries keep working;
+* the sqlite index is derived state — a missing or corrupt index is
+  built from the files, drift is repaired by rebuild, and queries keep
+  working;
+* only ``<64-hex key>.json`` and ``.fuzz.json`` files are entries; a
+  legacy ``.profile.json`` side-car is a foreign file nothing lists;
 * ``repro serve`` answers warm queries with **zero simulations**
   (counter-asserted), refuses cold/direct queries instead of simulating,
   and has no write route.
@@ -33,13 +36,12 @@ from repro.core import SimStats
 from repro.sampling import SamplingPlan
 from repro.service.backends import (
     KIND_FUZZ,
-    KIND_PROFILE,
     KIND_RESULT,
     DirectoryBackend,
     SqliteBackend,
     open_backend,
 )
-from repro.service.maintenance import collect_garbage, migrate_index
+from repro.service.maintenance import collect_garbage
 from repro.service.server import serve
 
 N = 3000
@@ -96,14 +98,32 @@ class TestBackendContract:
     def test_kinds_do_not_collide(self, tmp_path, backend_cls):
         backend = backend_cls(tmp_path)
         key = "cd" * 32
-        for kind in (KIND_RESULT, KIND_PROFILE, KIND_FUZZ):
+        for kind in (KIND_RESULT, KIND_FUZZ):
             backend.write(kind, key, {"kind": kind})
-        assert [backend.read(k, key)["kind"] for k in (KIND_RESULT, KIND_PROFILE, KIND_FUZZ)] == [
-            "result", "profile", "fuzz",
+        assert [backend.read(k, key)["kind"] for k in (KIND_RESULT, KIND_FUZZ)] == [
+            "result", "fuzz",
         ]
         assert list(backend.keys(KIND_RESULT)) == [key]
-        assert list(backend.keys(KIND_PROFILE)) == [key]
         assert list(backend.keys(KIND_FUZZ)) == [key]
+
+    def test_legacy_profile_side_car_is_foreign(self, tmp_path, backend_cls):
+        store = ResultStore(backend=backend_cls(tmp_path))
+        key = put_result(store, Job("gzip", N))
+        legacy = store.path_for(key).with_name(f"{key}.profile.json")
+        legacy.write_text(json.dumps({"stats": {}, "key": key}))
+        backend = store.backend
+        assert list(backend.keys(KIND_RESULT)) == [key]
+        assert [meta.key for meta in backend.entries(KIND_RESULT)] == [key]
+        stats = backend.stats()
+        assert stats.entries == {KIND_RESULT: 1, KIND_FUZZ: 0}
+        with running_server(store) as server:
+            status, body = http_get(f"{server.url}/entries")
+            assert status == 200 and json.loads(body)["count"] == 1
+            for route in (f"/profile/{key}", f"/diff?baseline={key}&target={key}"):
+                assert http_get(f"{server.url}{route}")[0] == 404
+        assert store.clear() == 1
+        assert backend.stats().total_entries == 0
+        assert legacy.is_file(), "clear() must leave foreign files alone"
 
     def test_read_raw_is_byte_faithful(self, tmp_path, backend_cls):
         backend = backend_cls(tmp_path)
@@ -185,9 +205,24 @@ class TestSqliteIndex:
         keys = sorted(
             put_result(store, Job("gzip", N, model=m)) for m in ("sie", "die")
         )
-        assert migrate_index(tmp_path) == 2
+        assert SqliteBackend(tmp_path).rebuild_index() == 2
         indexed = SqliteBackend(tmp_path)
         assert list(indexed.keys(KIND_RESULT)) == keys
+
+    def test_missing_index_is_built_from_directory(self, tmp_path):
+        # A store grown through the plain dir backend, opened without
+        # migrating: the first sqlite connect indexes every file.
+        store = ResultStore(backend=DirectoryBackend(tmp_path))
+        keys = sorted(
+            put_result(store, Job("gzip", N, model=m)) for m in ("sie", "die")
+        )
+        store.put_fuzz("aa" * 32, {"spec": {}})
+        indexed = SqliteBackend(tmp_path)
+        assert not indexed.index_path.exists()
+        assert list(indexed.keys(KIND_RESULT)) == keys
+        stats = indexed.stats()
+        assert stats.entries == {KIND_RESULT: 2, KIND_FUZZ: 1}
+        assert stats.bytes[KIND_RESULT] == store.stats().bytes[KIND_RESULT]
 
     def test_migrate_repairs_drift(self, tmp_path):
         indexed = SqliteBackend(tmp_path)
@@ -196,7 +231,7 @@ class TestSqliteIndex:
         # Another process writes through a plain dir backend: index drifts.
         drifted = put_result(ResultStore(backend=DirectoryBackend(tmp_path)), Job("mcf", N))
         assert drifted not in list(indexed.keys(KIND_RESULT))
-        migrate_index(tmp_path)
+        SqliteBackend(tmp_path).rebuild_index()
         assert drifted in list(SqliteBackend(tmp_path).keys(KIND_RESULT))
 
     def test_deletes_keep_index_in_step(self, tmp_path):
@@ -372,9 +407,6 @@ class TestGarbageCollection:
         store = ResultStore(tmp_path)
         job = Job("gzip", N)
         key = put_result(store, job)
-        # Orphaned profile: side-car whose parent result is gone.
-        orphan = "ab" * 32
-        store.backend.write(KIND_PROFILE, orphan, {"stats": {}})
         # Corrupt fuzz document + stale temp file.
         corrupt = "cd" * 32
         store.fuzz_path_for(corrupt).parent.mkdir(parents=True, exist_ok=True)
@@ -382,16 +414,14 @@ class TestGarbageCollection:
         (tmp_path / key[:2] / ".tmp-crashed.json").write_text("{ torn")
 
         dry = collect_garbage(store.backend, dry_run=True)
-        assert dry.total_removed == 3 and dry.dry_run
+        assert dry.total_removed == 2 and dry.dry_run
         assert store.get(key) is not None  # dry run removed nothing
 
         report = collect_garbage(store.backend)
         assert report.tmp_removed == 1
-        assert report.orphan_profiles == 1
         assert report.corrupt[KIND_FUZZ] == 1
         assert report.bytes_reclaimed > 0
         assert store.get(key) is not None, "gc must keep live entries"
-        assert list(store.backend.keys(KIND_PROFILE)) == []
 
     def test_gc_keeps_standalone_fuzz_documents(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.campaign import Job, ResultStore
 from repro.cli import main
 from repro.isa import FUClass
 from repro.simulation import MODELS, run_workload
@@ -459,41 +458,6 @@ class TestRunProfile:
         assert payload["regressed"] is False
 
 
-class TestStoreProfiles:
-    def test_profile_side_car_round_trip(self, die_irb_run, tmp_path):
-        result, _, collector = die_irb_run
-        store = ResultStore(tmp_path / "store")
-        job = Job("gzip", N, model="die-irb")
-        profile = make_profile(result, collector)
-        key = store.put_profile(job, profile)
-        assert store.get_profile(key).stats == profile.stats
-        assert store.get_profile_for_job(job).label == profile.label
-
-    def test_side_cars_invisible_to_result_reads(self, die_irb_run, tmp_path):
-        result, _, collector = die_irb_run
-        store = ResultStore(tmp_path / "store")
-        job = Job("gzip", N, model="die-irb")
-        key = store.put_profile(job, make_profile(result, collector))
-        assert list(store.keys()) == []  # no result entry was written
-        assert store.get(key) is None
-        assert store.get_profile("0" * 64) is None  # absent key
-
-    def test_clear_removes_side_cars(self, die_irb_run, tmp_path):
-        from repro.campaign.jobs import Provenance
-
-        result, _, collector = die_irb_run
-        store = ResultStore(tmp_path / "store")
-        job = Job("gzip", N, model="die-irb")
-        key = store.put(
-            job, result.stats,
-            Provenance(source="run", wall_time_s=0.0, code_version="test"),
-        )
-        store.put_profile(job, make_profile(result, collector))
-        assert store.clear() == 1
-        assert store.get_profile(key) is None
-        assert not list(store.keys())
-
-
 # ----------------------------------------------------------------------
 # CLI: repro trace / repro profile diff
 # ----------------------------------------------------------------------
@@ -524,17 +488,21 @@ class TestTraceCommand:
         assert "cycles " in view and "|" in view
         assert load_profile(prof).model == "die"
 
-    def test_trace_store_profile(self, capsys, tmp_path):
-        store_dir = tmp_path / "store"
-        code = main([
-            "trace", "gzip", "--n", "2000", "--out",
-            str(tmp_path / "t.json"), "--store-profile",
-            "--store-dir", str(store_dir),
-        ])
-        assert code == 0
-        store = ResultStore(store_dir)
-        job = Job("gzip", 2000, model="sie")
-        assert store.get_profile_for_job(job) is not None
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "gzip", "--store-profile"],
+            ["trace", "gzip", "--store-dir", "store"],
+            ["profile", "diff", "a.json", "b.json", "--store-dir", "store"],
+        ],
+        ids=["trace-store-profile", "trace-store-dir", "diff-store-dir"],
+    )
+    def test_store_options_are_usage_errors(self, capsys, argv):
+        # Profiles are files: no command files them in the result store.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestProfileDiffCommand:
