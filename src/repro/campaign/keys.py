@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
-from typing import Any
+from typing import Any, Dict, Tuple
 
 from .jobs import Job
 
@@ -25,17 +26,39 @@ from .jobs import Job
 CODE_VERSION = "campaign-v3"
 
 
+#: Types :func:`canonical` returns as they are.  The match is on the exact
+#: type, so an ``IntEnum`` (an ``int`` subclass) still becomes its name.
+_SCALARS = frozenset((type(None), bool, int, float, str))
+
+#: Field names of each dataclass type met so far, in declaration order.
+#: Bounded by the number of dataclass types, not by the values hashed.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
 def canonical(value: Any) -> Any:
     """Reduce ``value`` to a deterministic JSON-able structure.
 
     Dataclasses become ``{"__type__": name, **fields}`` (the type tag
     distinguishes e.g. a default ``MachineConfig`` from a default
     ``IRBConfig``), enums become their names, tuples become lists.
+
+    Dispatch is on ``type(value)``: scalars return at once and a
+    dataclass type's field names are looked up once per process.
+    Nothing is cached per *value*: ``Job(seed=1) == Job(seed=1.0)`` and
+    both hash alike, yet their specs differ (``1`` against ``1.0``), so
+    a value memo would make a key depend on which spelling a process
+    met first.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out = {"__type__": type(value).__name__}
-        for f in dataclasses.fields(value):
-            out[f.name] = canonical(getattr(value, f.name))
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    names = _FIELD_NAMES.get(cls)
+    if names is None and dataclasses.is_dataclass(cls):
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    if names is not None:
+        out = {"__type__": cls.__name__}
+        for name in names:
+            out[name] = canonical(getattr(value, name))
         return out
     if isinstance(value, enum.Enum):
         return value.name
@@ -43,9 +66,9 @@ def canonical(value: Any) -> Any:
         return {str(k): canonical(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [canonical(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return value
-    raise TypeError(f"cannot canonicalise {type(value).__name__} for content hashing")
+    raise TypeError(f"cannot canonicalise {cls.__name__} for content hashing")
 
 
 def job_spec(job: Job) -> dict:
@@ -77,7 +100,10 @@ def job_key(job: Job) -> str:
 # dataclasses, lists and scalars is complete.
 
 
+@functools.lru_cache(maxsize=None)
 def _spec_types() -> dict:
+    """Spec types by ``__type__`` tag; built on first use (the imports
+    would be circular at module load), then shared."""
     from ..memory.cache import CacheConfig
     from ..memory.dram import DRAMConfig
     from ..memory.hierarchy import HierarchyConfig

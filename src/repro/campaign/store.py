@@ -52,28 +52,31 @@ DEFAULT_ROOT = Path("results") / "store"
 
 _FU_DICT_FIELDS = ("fu_issued", "fu_busy_cycles")
 
+#: Every declared SimStats field, in declaration order.
+_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(SimStats))
+
 
 def stats_to_dict(stats: SimStats) -> dict:
     """Serialise every declared SimStats field (and nothing derived)."""
     out: dict = {}
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        if f.name in _FU_DICT_FIELDS:
+    for name in _STATS_FIELDS:
+        value = getattr(stats, name)
+        if name in _FU_DICT_FIELDS:
             value = {fu.name: count for fu, count in value.items()}
-        out[f.name] = value
+        out[name] = value
     return out
 
 
 def stats_from_dict(payload: dict) -> SimStats:
     """Rebuild a :class:`SimStats` from :func:`stats_to_dict` output."""
     kwargs: dict = {}
-    for f in dataclasses.fields(SimStats):
-        if f.name not in payload:
+    for name in _STATS_FIELDS:
+        if name not in payload:
             continue  # field added after the entry was written: keep default
-        value = payload[f.name]
-        if f.name in _FU_DICT_FIELDS:
-            value = {FUClass[name]: count for name, count in value.items()}
-        kwargs[f.name] = value
+        value = payload[name]
+        if name in _FU_DICT_FIELDS:
+            value = {FUClass[fu]: count for fu, count in value.items()}
+        kwargs[name] = value
     return SimStats(**kwargs)
 
 

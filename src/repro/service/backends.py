@@ -60,10 +60,14 @@ _SUFFIXES: Dict[str, str] = {
     KIND_FUZZ: ".fuzz.json",
 }
 
-#: A store file name: a SHA-256 hex key, then a kind suffix.
+#: A store key: a SHA-256 digest in lower-case hex.
+_KEY = r"[0-9a-f]{64}"
+_STORE_KEY = re.compile(_KEY)
+
+#: A store file name: a store key, then a kind suffix.
 _KIND_BY_SUFFIX: Dict[str, str] = {suffix: kind for kind, suffix in _SUFFIXES.items()}
 _STORE_NAME = re.compile(
-    r"([0-9a-f]{64})(" + "|".join(map(re.escape, _KIND_BY_SUFFIX)) + ")"
+    f"({_KEY})(" + "|".join(map(re.escape, _KIND_BY_SUFFIX)) + ")"
 )
 
 #: Prefix of in-flight temp files (never visible to readers).
@@ -194,6 +198,11 @@ def _meta_from_document(kind: str, key: str, size: int, document: dict) -> Entry
     )
 
 
+def is_store_key(key: str) -> bool:
+    """Whether ``key`` has the shape of a store key (64 hex digits)."""
+    return _STORE_KEY.fullmatch(key) is not None
+
+
 def classify_filename(name: str) -> Optional[Tuple[str, str]]:
     """``(kind, key)`` for one store file name; ``None`` for foreign files."""
     match = _STORE_NAME.fullmatch(name)
@@ -215,53 +224,73 @@ class DirectoryBackend:
 
     def __init__(self, root: Path):
         self.root = Path(root)
+        self._root = str(self.root)
 
     # -- paths ---------------------------------------------------------
 
-    def path_for(self, kind: str, key: str) -> Path:
-        return self.root / key[:2] / f"{key}{_SUFFIXES[kind]}"
+    def _file(self, kind: str, key: str) -> str:
+        """The file name of ``(kind, key)``: the one place it is built."""
+        return os.path.join(self._root, key[:2], key + _SUFFIXES[kind])
 
-    def _shards(self) -> Iterator[Path]:
-        if not self.root.is_dir():
+    def path_for(self, kind: str, key: str) -> Path:
+        return Path(self._file(kind, key))
+
+    def scan(self) -> Iterator["os.DirEntry[str]"]:
+        """Every entry of every shard, in sorted shard then name order.
+
+        One ``os.scandir`` pass, with no ``pathlib`` object per entry; key
+        listings, counts, the temp-file scan and ``repro store gc`` all
+        read it.
+        """
+        try:
+            with os.scandir(self._root) as it:
+                shards = sorted(entry.path for entry in it if entry.is_dir())
+        except OSError:
             return
-        for shard in sorted(self.root.iterdir()):
-            if shard.is_dir():
-                yield shard
+        for shard in shards:
+            try:
+                with os.scandir(shard) as it:
+                    entries = sorted(it, key=lambda entry: entry.name)
+            except OSError:
+                continue
+            yield from entries
 
     # -- document IO ---------------------------------------------------
 
-    def read_raw(self, kind: str, key: str) -> Optional[bytes]:
-        """The document's exact serialized bytes (``None`` on a miss)."""
+    def _load(self, kind: str, key: str) -> Tuple[bytes, Optional[dict]]:
+        """The file's bytes and the JSON object they hold (``None`` when
+        the file is absent or holds no JSON object)."""
         try:
-            raw = self.path_for(kind, key).read_bytes()
+            with open(self._file(kind, key), "rb") as handle:
+                raw = handle.read()
         except OSError:
-            return None
+            return b"", None
         try:
             document = json.loads(raw)
         except ValueError:
-            return None
-        return raw if isinstance(document, dict) else None
+            return raw, None
+        return raw, document if isinstance(document, dict) else None
+
+    def read_raw(self, kind: str, key: str) -> Optional[bytes]:
+        """The document's exact serialized bytes (``None`` on a miss)."""
+        raw, document = self._load(kind, key)
+        return raw if document is not None else None
 
     def read(self, kind: str, key: str) -> Optional[dict]:
-        try:
-            with open(self.path_for(kind, key), "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return document if isinstance(document, dict) else None
+        return self._load(kind, key)[1]
 
     def write(self, kind: str, key: str, document: dict) -> None:
         write_json_atomic(self.path_for(kind, key), document)
 
     def delete(self, kind: str, key: str) -> bool:
         try:
-            self.path_for(kind, key).unlink()
+            os.unlink(self._file(kind, key))
             return True
         except OSError:
             return False
 
     def contains(self, kind: str, key: str) -> bool:
-        return self.path_for(kind, key).is_file()
+        return os.path.isfile(self._file(kind, key))
 
     # -- listing -------------------------------------------------------
 
@@ -269,11 +298,10 @@ class DirectoryBackend:
         """Directory-walk key listing (non-virtual: the sqlite backend's
         index rebuild must scan files even though its ``keys`` reads the
         index)."""
-        for shard in self._shards():
-            for entry in sorted(shard.glob(f"*{_SUFFIXES[kind]}")):
-                classified = classify_filename(entry.name)
-                if classified is not None and classified[0] == kind:
-                    yield classified[1]
+        for entry in self.scan():
+            classified = classify_filename(entry.name)
+            if classified is not None and classified[0] == kind:
+                yield classified[1]
 
     def keys(self, kind: str) -> Iterator[str]:
         return self._dir_keys(kind)
@@ -285,12 +313,11 @@ class DirectoryBackend:
         model: Optional[str] = None,
     ) -> Iterator[EntryMeta]:
         for key in self._dir_keys(kind):
-            path = self.path_for(kind, key)
             document = self.read(kind, key)
             if document is None:
                 continue
             try:
-                size = path.stat().st_size
+                size = os.path.getsize(self._file(kind, key))
             except OSError:
                 size = 0
             meta = _meta_from_document(kind, key, size, document)
@@ -313,9 +340,9 @@ class DirectoryBackend:
     def temp_files(self) -> List[Path]:
         """In-flight / crash-leftover temp files (gc removes them)."""
         return [
-            entry
-            for shard in self._shards()
-            for entry in sorted(shard.glob(f"{TMP_PREFIX}*"))
+            Path(entry.path)
+            for entry in self.scan()
+            if entry.name.startswith(TMP_PREFIX)
         ]
 
     def stats(self) -> StoreStats:
@@ -323,21 +350,19 @@ class DirectoryBackend:
         for kind in KINDS:
             stats.entries[kind] = 0
             stats.bytes[kind] = 0
-        for shard in self._shards():
-            with os.scandir(shard) as it:
-                for entry in it:
-                    if entry.name.startswith(TMP_PREFIX):
-                        stats.tmp_files += 1
-                        continue
-                    classified = classify_filename(entry.name)
-                    if classified is None:
-                        continue
-                    kind = classified[0]
-                    stats.entries[kind] += 1
-                    try:
-                        stats.bytes[kind] += entry.stat().st_size
-                    except OSError:
-                        pass
+        for entry in self.scan():
+            if entry.name.startswith(TMP_PREFIX):
+                stats.tmp_files += 1
+                continue
+            classified = classify_filename(entry.name)
+            if classified is None:
+                continue
+            kind = classified[0]
+            stats.entries[kind] += 1
+            try:
+                stats.bytes[kind] += entry.stat().st_size
+            except OSError:
+                pass
         return stats
 
     def clear(self) -> int:

@@ -75,17 +75,13 @@ def collect_garbage(backend: DirectoryBackend, dry_run: bool = False) -> GCRepor
     # file).  Collect first, delete after — deleting while iterating a
     # shard listing is fragile.
     corrupt: List[tuple] = []
-    if backend.root.is_dir():
-        for shard in sorted(backend.root.iterdir()):
-            if not shard.is_dir():
-                continue
-            for entry in sorted(shard.iterdir()):
-                classified = classify_filename(entry.name)
-                if classified is None:
-                    continue
-                kind, key = classified
-                if backend.read(kind, key) is None:
-                    corrupt.append((kind, key, entry))
+    for entry in backend.scan():
+        classified = classify_filename(entry.name)
+        if classified is None:
+            continue
+        kind, key = classified
+        if backend.read(kind, key) is None:
+            corrupt.append((kind, key, Path(entry.path)))
 
     for kind, key, path in corrupt:
         report.corrupt[kind] += 1

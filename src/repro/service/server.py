@@ -14,6 +14,7 @@ Routes::
     GET  /healthz                       liveness + store backend
     GET  /result/<key>                  raw stored result document
     GET  /fuzz/<key>                    raw fuzz-corpus document
+                                        (<key>: 64 hex digits, else 404)
     GET  /entries?kind=&workload=&model=   filtered metadata listing
     GET  /store/stats                   per-kind counts/bytes + counters
     GET  /experiment/<id>?...           store-only experiment replay
@@ -46,7 +47,7 @@ from ..campaign import (
 from ..campaign.store import ResultStore
 from ..sampling.plan import SamplingPlan
 from ..workloads import APP_NAMES
-from .backends import KINDS
+from .backends import KINDS, is_store_key
 
 
 class ServeError(Exception):
@@ -205,8 +206,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": f"{type(error).__name__}: {error}"})
 
     def _kind_key(self, path: str) -> Optional[Tuple[str, str]]:
+        """``(kind, key)`` of a document route; only a store key (64 hex
+        digits) names a document, so no URL reaches outside the store."""
         parts = path.strip("/").split("/")
-        if len(parts) == 2 and parts[0] in KINDS:
+        if len(parts) == 2 and parts[0] in KINDS and is_store_key(parts[1]):
             return parts[0], parts[1]
         return None
 

@@ -125,6 +125,39 @@ class TestBackendContract:
         assert backend.stats().total_entries == 0
         assert legacy.is_file(), "clear() must leave foreign files alone"
 
+    def test_read_routes_answer_only_store_keys(self, tmp_path, backend_cls):
+        # JSON objects beside the store, where a key with path segments
+        # in it would land: <root>/<key[:2]>/<key><suffix>.
+        for name in ("...json", "...fuzz.json", "..secret.json", "..secret.fuzz.json"):
+            (tmp_path / name).write_text(json.dumps({"outside": "the store"}))
+        store = ResultStore(backend=backend_cls(tmp_path / "store"))
+        key = put_result(store, Job("gzip", N))
+        with running_server(store) as server:
+            assert http_get(f"{server.url}/result/{key}")[0] == 200
+            for kind in ("result", "fuzz"):
+                for bad in ("..", "..secret", key.upper(), key[:-1], key + "0"):
+                    status, body = http_get(f"{server.url}/{kind}/{bad}")
+                    assert status == 404, (kind, bad, body)
+                    assert b"outside" not in body
+
+    def test_temp_files_counted_in_one_scan(self, tmp_path, backend_cls):
+        backend = backend_cls(tmp_path)
+        backend.write(KIND_RESULT, "ab" * 32, {})
+        backend.write(KIND_FUZZ, "cd" * 32, {})
+        planted = [
+            tmp_path / "cd" / ".tmp-b.json",
+            tmp_path / "ab" / ".tmp-z.json",
+            tmp_path / "ab" / ".tmp-a.json",
+        ]
+        for path in planted:
+            path.write_text("{ torn")
+        (tmp_path / "ab" / "notes.txt").write_text("foreign")
+        temp_files = backend.temp_files()
+        assert temp_files == sorted(planted)
+        stats = backend.stats()
+        assert stats.tmp_files == len(temp_files) == 3
+        assert stats.entries == {KIND_RESULT: 1, KIND_FUZZ: 1}
+
     def test_read_raw_is_byte_faithful(self, tmp_path, backend_cls):
         backend = backend_cls(tmp_path)
         backend.write(KIND_RESULT, "ef" * 32, {"b": 2, "a": 1})
