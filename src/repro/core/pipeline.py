@@ -49,8 +49,6 @@ from ..telemetry.events import (
     STAGE_FETCH,
     STAGE_ISSUE,
     STAGE_SQUASH,
-    CycleEvent,
-    InstEvent,
     Tracer,
 )
 from ..workloads import Trace
@@ -336,7 +334,7 @@ class OOOPipeline:
         self._hook_tick()
         tracer = self.tracer
         if tracer is not NULL_TRACER:
-            tracer.emit(CycleEvent(cycle, len(self.ruu), self.lsq_count))
+            tracer.emit_cycle(cycle, len(self.ruu), self.lsq_count)
         self.cycle = cycle + 1
 
     # ==================================================================
@@ -368,11 +366,9 @@ class OOOPipeline:
         tracer = self.tracer
         if tracer is not NULL_TRACER:
             trace = inst.trace
-            tracer.emit(
-                InstEvent(
-                    STAGE_COMPLETE, cycle, trace.seq, trace.pc, trace.opcode,
-                    inst.stream, trace.fu,
-                )
+            tracer.emit_inst(
+                STAGE_COMPLETE, cycle, trace.seq, trace.pc, trace.opcode,
+                inst.stream, trace.fu,
             )
         for consumer in inst.consumers:
             if consumer.squashed:
@@ -417,11 +413,9 @@ class OOOPipeline:
         tracer = self.tracer
         if tracer is not NULL_TRACER:
             trace = inst.trace
-            tracer.emit(
-                InstEvent(
-                    STAGE_COMMIT, self.cycle, trace.seq, trace.pc, trace.opcode,
-                    inst.stream, trace.fu,
-                )
+            tracer.emit_inst(
+                STAGE_COMMIT, self.cycle, trace.seq, trace.pc, trace.opcode,
+                inst.stream, trace.fu,
             )
 
     # ==================================================================
@@ -516,11 +510,9 @@ class OOOPipeline:
             heapq.heappush(self._events, event)
         tracer = self.tracer
         if tracer is not NULL_TRACER:
-            tracer.emit(
-                InstEvent(
-                    STAGE_ISSUE, cycle, trace.seq, trace.pc, trace.opcode,
-                    inst.stream, fu,
-                )
+            tracer.emit_inst(
+                STAGE_ISSUE, cycle, trace.seq, trace.pc, trace.opcode,
+                inst.stream, fu,
             )
         return True
 
@@ -591,11 +583,9 @@ class OOOPipeline:
                 stats.dispatched += 1
                 budget -= 1
                 if tracing:
-                    tracer.emit(
-                        InstEvent(
-                            STAGE_DISPATCH, cycle, trace_inst.seq, trace_inst.pc,
-                            trace_inst.opcode, entry.stream, trace_inst.fu,
-                        )
+                    tracer.emit_inst(
+                        STAGE_DISPATCH, cycle, trace_inst.seq, trace_inst.pc,
+                        trace_inst.opcode, entry.stream, trace_inst.fu,
                     )
                 if entry.dec.mem and not entry.stream:
                     self.lsq_count += 1
@@ -685,11 +675,9 @@ class OOOPipeline:
             index += 1
             budget -= 1
             if tracing:
-                tracer.emit(
-                    InstEvent(
-                        STAGE_FETCH, cycle, inst.seq, inst.pc, inst.opcode,
-                        PRIMARY, inst.fu,
-                    )
+                tracer.emit_inst(
+                    STAGE_FETCH, cycle, inst.seq, inst.pc, inst.opcode,
+                    PRIMARY, inst.fu,
                 )
             if mispredicted:
                 self.fetch_blocked_seq = inst.seq
@@ -767,11 +755,9 @@ class OOOPipeline:
             inst.squashed = True
             if tracer is not NULL_TRACER:
                 trace = inst.trace
-                tracer.emit(
-                    InstEvent(
-                        STAGE_SQUASH, self.cycle, trace.seq, trace.pc,
-                        trace.opcode, inst.stream, trace.fu,
-                    )
+                tracer.emit_inst(
+                    STAGE_SQUASH, self.cycle, trace.seq, trace.pc,
+                    trace.opcode, inst.stream, trace.fu,
                 )
         self.ruu.clear()
         for _, __, ___, inst in self._events:

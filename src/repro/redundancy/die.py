@@ -16,7 +16,7 @@ from typing import List, Optional
 from ..core import MachineConfig, OOOPipeline
 from ..core.dyninst import DUPLICATE, PRIMARY, DynInst
 from ..isa import TraceInst
-from ..telemetry.events import NULL_TRACER, CheckEvent
+from ..telemetry.events import NULL_TRACER
 from ..workloads import Trace
 from .checker import CommitChecker
 
@@ -71,7 +71,7 @@ class DIEPipeline(OOOPipeline):
                 break
             ok = checker.check(primary, duplicate)
             if tracer is not NULL_TRACER:
-                tracer.emit(CheckEvent(self.cycle, primary.seq, ok))
+                tracer.emit_check(self.cycle, primary.seq, ok)
             if not ok:
                 self._recover(primary)
                 break

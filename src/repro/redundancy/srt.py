@@ -31,7 +31,7 @@ from typing import Dict, Optional
 
 from ..core import MachineConfig, OOOPipeline
 from ..core.dyninst import DUPLICATE, PRIMARY, DynInst
-from ..telemetry.events import NULL_TRACER, CheckEvent
+from ..telemetry.events import NULL_TRACER
 from ..workloads import Trace
 from .checker import CommitChecker
 
@@ -147,7 +147,7 @@ class SRTPipeline(OOOPipeline):
                 lead = self._output_buffer.pop(head.seq)
                 ok = self.checker.check(lead, head)
                 if tracer is not NULL_TRACER:
-                    tracer.emit(CheckEvent(self.cycle, head.seq, ok))
+                    tracer.emit_check(self.cycle, head.seq, ok)
                 if not ok:
                     self._recover(head)
                     break

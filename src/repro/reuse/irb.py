@@ -33,7 +33,6 @@ from ..telemetry.events import (
     IRB_REUSE_HIT,
     IRB_WRITE,
     NULL_TRACER,
-    IRBEvent,
 )
 from .entry import IRBEntry
 from .ports import PortArbiter
@@ -282,19 +281,19 @@ class IRBFrontEnd:
         tracer = self.tracer
         tracing = tracer is not NULL_TRACER
         if tracing:
-            tracer.emit(IRBEvent(IRB_LOOKUP, self.cycle, pc, opcode))
+            tracer.emit_irb(IRB_LOOKUP, self.cycle, pc, opcode)
         if not self.ports.try_read(self.cycle):
             # All read ports busy this cycle: the probe is abandoned and
             # the instruction executes on the FUs (counted, rare).
             stats.irb_port_starved += 1
             if tracing:
-                tracer.emit(IRBEvent(IRB_PORT_STARVED, self.cycle, pc))
+                tracer.emit_irb(IRB_PORT_STARVED, self.cycle, pc)
             return None
         entry = self.irb.lookup(pc)
         if entry is not None:
             stats.irb_pc_hits += 1
             if tracing:
-                tracer.emit(IRBEvent(IRB_PC_HIT, self.cycle, pc, opcode))
+                tracer.emit_irb(IRB_PC_HIT, self.cycle, pc, opcode)
         return entry
 
     # ------------------------------------------------------------------
@@ -315,7 +314,7 @@ class IRBFrontEnd:
                 tracer = self.tracer
                 if tracer is not NULL_TRACER:
                     trace = inst.trace
-                    tracer.emit(IRBEvent(IRB_REUSE_HIT, cycle, trace.pc, trace.opcode))
+                    tracer.emit_irb(IRB_REUSE_HIT, cycle, trace.pc, trace.opcode)
         if inst.reuse_hit:
             self._reuse_complete(inst, entry, cycle)
         else:
@@ -354,7 +353,7 @@ class IRBFrontEnd:
             result = trace.mem_addr if inst.dec.mem else trace.result
             self.irb.enqueue_write(trace.pc, *self._operands(inst), result)
             if tracer is not NULL_TRACER:
-                tracer.emit(IRBEvent(IRB_WRITE, self.cycle, trace.pc, trace.opcode))
+                tracer.emit_irb(IRB_WRITE, self.cycle, trace.pc, trace.opcode)
 
     def _hook_tick(self) -> None:
         irb = self.irb

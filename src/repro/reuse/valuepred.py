@@ -31,7 +31,6 @@ from ..telemetry.events import (
     IRB_PC_HIT,
     IRB_REUSE_HIT,
     NULL_TRACER,
-    IRBEvent,
 )
 from ..workloads import Trace
 
@@ -138,14 +137,14 @@ class DIEVPPipeline(DIEPipeline):
             tracing = tracer is not NULL_TRACER
             stats.irb_lookups += 1
             if tracing:
-                tracer.emit(IRBEvent(IRB_LOOKUP, self.cycle, inst.pc, inst.opcode))
+                tracer.emit_irb(IRB_LOOKUP, self.cycle, inst.pc, inst.opcode)
             ahead = self._inflight.get(inst.pc, 0) + 1
             self._inflight[inst.pc] = ahead
             predicted = self.vp.predict(inst.pc, ahead=ahead)
             if predicted is not None:
                 stats.irb_pc_hits += 1
                 if tracing:
-                    tracer.emit(IRBEvent(IRB_PC_HIT, self.cycle, inst.pc, inst.opcode))
+                    tracer.emit_irb(IRB_PC_HIT, self.cycle, inst.pc, inst.opcode)
                 duplicate = entries[1]
                 duplicate.issued = True  # held out of the scheduler
                 self._speculating[duplicate.uid] = predicted
@@ -183,7 +182,7 @@ class DIEVPPipeline(DIEPipeline):
             tracer = self.tracer
             if tracer is not NULL_TRACER:
                 trace = duplicate.trace
-                tracer.emit(IRBEvent(IRB_REUSE_HIT, cycle, trace.pc, trace.opcode))
+                tracer.emit_irb(IRB_REUSE_HIT, cycle, trace.pc, trace.opcode)
             self._schedule(cycle + 1, "complete", duplicate)
         else:
             # Wrong guess: fall back to the functional units.  Deliberately

@@ -43,13 +43,14 @@ their own — they recompute from the extrapolated counters.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from ..core import MachineConfig, OOOPipeline, SimStats
 from ..core.decoded import decode_trace
 from ..core.pipeline import functional_warm
-from ..isa import FUClass
+from ..isa import FUClass, Opcode
 from ..reuse import IRBConfig
 from ..simulation.runner import make_pipeline
 from ..telemetry.events import (
@@ -61,6 +62,9 @@ from ..telemetry.events import (
     IRB_WRITE_DROP,
     NULL_TRACER,
     STAGE_COMMIT,
+    STAGE_DISPATCH,
+    STAGE_FETCH,
+    STAGE_ISSUE,
     CheckEvent,
     Event,
     InstEvent,
@@ -103,7 +107,10 @@ class WindowTracer(Tracer):
     """Collects the per-event stream of one site run for window carving.
 
     Sites are a few hundred to a few thousand instructions, so the raw
-    event lists stay small; full runs never attach this tracer.
+    event lists stay small; full runs never attach this tracer.  The
+    typed methods append the fields carving reads without building an
+    event object; :meth:`emit` routes a delivered event (a tee's, or a
+    replay's) to the same methods, so both paths record the same lists.
     """
 
     def __init__(self) -> None:
@@ -114,13 +121,39 @@ class WindowTracer(Tracer):
 
     def emit(self, event: Event) -> None:
         if isinstance(event, InstEvent):
-            if event.kind == STAGE_COMMIT and event.stream == 0:
-                self.commit_cycle[event.seq] = event.cycle
-            self.stage_seqs.append((event.kind, event.seq, event.fu))
+            self.emit_inst(
+                event.kind, event.cycle, event.seq, event.pc, event.opcode,
+                event.stream, event.fu,
+            )
         elif isinstance(event, CheckEvent):
-            self.checks.append((event.seq, event.ok))
+            self.emit_check(event.cycle, event.seq, event.ok)
         elif isinstance(event, IRBEvent):
-            self.irb.append((event.kind, event.cycle))
+            self.emit_irb(event.kind, event.cycle, event.pc, event.opcode)
+
+    def emit_inst(
+        self,
+        kind: str,
+        cycle: int,
+        seq: int,
+        pc: int,
+        opcode: Opcode,
+        stream: int,
+        fu: FUClass,
+    ) -> None:
+        if kind == STAGE_COMMIT and stream == 0:
+            self.commit_cycle[seq] = cycle
+        self.stage_seqs.append((kind, seq, fu))
+
+    def emit_irb(
+        self, kind: str, cycle: int, pc: int, opcode: Optional[Opcode] = None
+    ) -> None:
+        self.irb.append((kind, cycle))
+
+    def emit_check(self, cycle: int, seq: int, ok: bool) -> None:
+        self.checks.append((seq, ok))
+
+    def emit_cycle(self, cycle: int, ruu: int, lsq: int) -> None:
+        pass
 
 
 class _WarmWalker:
@@ -211,15 +244,56 @@ def _carve_site(
     site_stats: SimStats,
     tracer: WindowTracer,
 ) -> List[RegionResult]:
-    """Split one site run into per-region measurements."""
-    interval = selection.interval_length
+    """Split one site run into per-region measurements.
+
+    Each event list is scanned once.  Stage and check events are binned
+    by ``seq`` into the measured region that holds it (pad seqs hold
+    none); IRB events are counted per commit-cycle window by bisection
+    over their sorted cycles, since adjacent windows may share a cycle.
+    """
     regions = {r.index: r for r in selection.regions}
     results: List[RegionResult] = []
-    site_cycles = max(1, site_stats.cycles)
-    final_cycle = site_stats.cycles
-
+    # owner[seq]: the stats of the measured region holding ``seq``.
+    owner: List[Optional[SimStats]] = [None] * site.length
     for index in site.measured:
         region = regions[index]
+        stats = SimStats()
+        stats.committed = region.length
+        first = region.start - site.start
+        owner[first:first + region.length] = [stats] * region.length
+        results.append(RegionResult(region=region, stats=stats))
+
+    for kind, seq, fu in tracer.stage_seqs:
+        stats = owner[seq]
+        if stats is None:
+            continue
+        if kind == STAGE_FETCH:
+            stats.fetched += 1
+        elif kind == STAGE_DISPATCH:
+            stats.dispatched += 1
+        elif kind == STAGE_ISSUE:
+            stats.issued += 1
+            if fu is not FUClass.NONE:  # counted per unit, as in a full run
+                stats.fu_issued[fu] = stats.fu_issued.get(fu, 0) + 1
+    for seq, ok in tracer.checks:
+        stats = owner[seq]
+        if stats is None:
+            continue
+        if ok:
+            stats.pairs_checked += 1
+        else:
+            stats.check_mismatches += 1
+    irb_cycles: Dict[str, List[int]] = {}
+    for kind, cycle in tracer.irb:
+        if kind in _IRB_FIELD_OF:
+            irb_cycles.setdefault(kind, []).append(cycle)
+    for cycles in irb_cycles.values():
+        cycles.sort()
+
+    site_cycles = max(1, site_stats.cycles)
+    final_cycle = site_stats.cycles
+    for result in results:
+        region, stats = result.region, result.stats
         first = region.start - site.start
         last = region.end - 1 - site.start
         # max_cycles truncation can leave tail instructions uncommitted;
@@ -235,38 +309,16 @@ def _carve_site(
                 ),
                 default=final_cycle,
             )
-        stats = SimStats()
         stats.cycles = c1 - c0 + 1
-        stats.committed = region.length
-        for kind, seq, fu in tracer.stage_seqs:
-            if not (first <= seq <= last):
-                continue
-            if kind == "fetch":
-                stats.fetched += 1
-            elif kind == "dispatch":
-                stats.dispatched += 1
-            elif kind == "issue":
-                stats.issued += 1
-                if fu is not FUClass.NONE:  # counted per unit, as in a full run
-                    stats.fu_issued[fu] = stats.fu_issued.get(fu, 0) + 1
-        for seq, ok in tracer.checks:
-            if first <= seq <= last:
-                if ok:
-                    stats.pairs_checked += 1
-                else:
-                    stats.check_mismatches += 1
-        for kind, cycle in tracer.irb:
-            if c0 <= cycle <= c1:
-                field = _IRB_FIELD_OF.get(kind)
-                if field is not None:
-                    setattr(stats, field, getattr(stats, field) + 1)
+        for kind, cycles in irb_cycles.items():
+            count = bisect_right(cycles, c1) - bisect_left(cycles, c0)
+            setattr(stats, _IRB_FIELD_OF[kind], max(0, count))
         share = stats.cycles / site_cycles
         for name in _CYCLE_SHARE_FIELDS:
             setattr(stats, name, getattr(site_stats, name) * share)
         stats.fu_busy_cycles = {
             fu: busy * share for fu, busy in site_stats.fu_busy_cycles.items()
         }
-        results.append(RegionResult(region=region, stats=stats))
     return results
 
 

@@ -7,15 +7,18 @@ construction with one *identity* check per stage (simlint rule SL103)::
     tracer = self.tracer
     ...
     if tracer is not NULL_TRACER:
-        tracer.emit(InstEvent(STAGE_ISSUE, cycle, ...))
+        tracer.emit_inst(STAGE_ISSUE, cycle, ...)
 
 The identity form is required because a custom tracer is free to define
 ``__bool__`` (an aggregator that is falsy while empty would silently
 drop events under a truthiness guard), and ``is not`` compiles to a
 single pointer comparison anyway.  Event construction therefore happens
-only when a real tracer is installed.  This module depends on nothing
-but ``repro.isa`` and the standard library, so the core can import it
-without cycles.
+only when a real tracer is installed.  The four hot kinds (instruction
+stages, IRB, pair checks, cycle samples) go through :class:`Tracer`'s
+typed ``emit_*`` methods, so a tracer that reads only a few fields can
+skip building the object (see :class:`Tracer`).  This module depends
+on nothing but ``repro.isa`` and the standard library, so the core can
+import it without cycles.
 
 Event taxonomy (see ``docs/TELEMETRY.md``):
 
@@ -186,15 +189,46 @@ Event = Union[
 
 
 class Tracer:
-    """Protocol for event consumers (duck-typed; subclassing is optional).
+    """Base class of event consumers.
 
-    Implementations must be truthy (the default ``object`` truthiness) so
-    the pipelines' falsy guard forwards events to them; only the null
-    tracer may be falsy.
+    ``emit(event)`` is the one method a tracer must define, and it must
+    accept every event kind.  The hot emit sites call the typed methods
+    below with the event's fields instead of an object.  Each default
+    builds the event once and hands it to :meth:`emit`, so a tracer that
+    defines only ``emit`` sees exactly the objects it always saw.  A
+    tracer may override a typed method to skip building the object; it
+    must then get the same result from :meth:`emit` given the same event
+    (``replay()`` and :class:`~.record.TeeTracer` deliver objects).
+
+    Implementations must be truthy (the default ``object`` truthiness);
+    only the null tracer may be falsy.
     """
 
     def emit(self, event: Event) -> None:
         raise NotImplementedError
+
+    def emit_inst(
+        self,
+        kind: str,
+        cycle: int,
+        seq: int,
+        pc: int,
+        opcode: Opcode,
+        stream: int,
+        fu: FUClass,
+    ) -> None:
+        self.emit(InstEvent(kind, cycle, seq, pc, opcode, stream, fu))
+
+    def emit_irb(
+        self, kind: str, cycle: int, pc: int, opcode: Optional[Opcode] = None
+    ) -> None:
+        self.emit(IRBEvent(kind, cycle, pc, opcode))
+
+    def emit_check(self, cycle: int, seq: int, ok: bool) -> None:
+        self.emit(CheckEvent(cycle, seq, ok))
+
+    def emit_cycle(self, cycle: int, ruu: int, lsq: int) -> None:
+        self.emit(CycleEvent(cycle, ruu, lsq))
 
 
 class NullTracer(Tracer):

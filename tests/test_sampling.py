@@ -35,12 +35,14 @@ from repro.campaign.keys import job_spec
 from repro.redundancy import EXEC_DUP, Fault
 from repro.sampling import (
     SamplingPlan,
+    WindowTracer,
     profile_trace,
     run_sampled,
     select_regions,
 )
 from repro.sampling.kmeans import _assign, _sq_dist
-from repro.simulation import get_trace, simulate
+from repro.simulation import MODELS, get_trace, simulate
+from repro.telemetry import RecordingTracer, replay
 from repro.validation.harness import run_case
 from repro.validation.invariants import check_sampled_tolerance
 
@@ -209,6 +211,38 @@ class TestExtrapolationPolicy:
         budget=1.0 every interval is measured and committed is exact."""
         case = run_case(get_trace("art", 6_000), ["sie"])
         assert check_sampled_tolerance(case, "sie") == []
+
+
+class TestWindowTracer:
+    """The typed fast path and the event-object path record alike."""
+
+    @pytest.mark.parametrize("model", ["die-irb", "srt"])
+    def test_replay_matches_live(self, model):
+        trace = get_trace("gzip", 3_000)
+        live = WindowTracer()
+        simulate(trace, model=model, tracer=live)
+        recorder = RecordingTracer()
+        simulate(trace, model=model, tracer=recorder)
+        replayed = WindowTracer()
+        replay(recorder.events, replayed)
+        assert live.checks and live.stage_seqs and live.commit_cycle
+        if model == "die-irb":
+            assert live.irb
+        assert replayed.commit_cycle == live.commit_cycle
+        assert replayed.stage_seqs == live.stage_seqs
+        assert replayed.checks == live.checks
+        assert replayed.irb == live.irb
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_outer_tracer_does_not_change_estimate(self, model):
+        """An outer tracer tees each site's events to the window tracer
+        as objects; the estimate matches the direct typed path's."""
+        trace = get_trace("gzip", 6_000)
+        bare = run_sampled(trace, SamplingPlan(), model=model)
+        traced = run_sampled(
+            trace, SamplingPlan(), model=model, tracer=RecordingTracer()
+        )
+        assert traced.stats.to_dict() == bare.stats.to_dict()
 
 
 class TestFaultsExclusion:

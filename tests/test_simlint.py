@@ -117,6 +117,27 @@ class TestRuleDetails:
         assert ".pair.result" in messages
         assert ".pair.output()" in messages
 
+    def test_sl103_sees_typed_emit_calls(self, tmp_path):
+        path = tmp_path / "stage.py"
+        path.write_text(
+            "NULL_TRACER = object()\n"
+            "\n"
+            "\n"
+            "class Stage:\n"
+            "    def unguarded(self, seq):\n"
+            "        self.tracer.emit_inst('issue', 0, seq, 0, None, 0, None)\n"
+            "\n"
+            "    def guarded(self, seq):\n"
+            "        tracer = self.tracer\n"
+            "        if tracer is not NULL_TRACER:\n"
+            "            tracer.emit_inst('issue', 0, seq, 0, None, 0, None)\n"
+            "            tracer.emit_check(0, seq, True)\n"
+        )
+        hits = rule_hits(str(path), "SL103")
+        assert [(v.line, "Stage.unguarded" in v.message) for v in hits] == [
+            (6, True)
+        ]
+
     def test_sl006_print_and_logging_both_flagged(self):
         messages = "\n".join(
             v.message for v in rule_hits(fixture("sl006_bad.py"), "SL006")

@@ -7,12 +7,13 @@ real DIE-IRB runs so the event streams exercised are the ones the
 pipelines actually emit.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.isa import FUClass
+from repro.isa import FUClass, Opcode
 from repro.simulation import MODELS, run_workload
 from repro.telemetry import (
     CheckEvent,
@@ -42,6 +43,7 @@ from repro.telemetry import (
 from repro.telemetry.events import (
     IRB_LOOKUP,
     IRB_PC_HIT,
+    IRB_PORT_STARVED,
     IRB_REUSE_HIT,
     STAGE_COMMIT,
     STAGE_COMPLETE,
@@ -91,6 +93,42 @@ class TestTracerProtocol:
     def test_base_tracer_emit_abstract(self):
         with pytest.raises(NotImplementedError):
             Tracer().emit(CycleEvent(0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "method, args, expected",
+        [
+            (
+                "emit_inst",
+                (STAGE_ISSUE, 7, 3, 0x40, Opcode.ADD, 1, FUClass.INT_ALU),
+                InstEvent(STAGE_ISSUE, 7, 3, 0x40, Opcode.ADD, 1, FUClass.INT_ALU),
+            ),
+            (
+                "emit_irb",
+                (IRB_LOOKUP, 5, 0x40, Opcode.ADD),
+                IRBEvent(IRB_LOOKUP, 5, 0x40, Opcode.ADD),
+            ),
+            (
+                "emit_irb",
+                (IRB_PORT_STARVED, 5, 0x40),
+                IRBEvent(IRB_PORT_STARVED, 5, 0x40),
+            ),
+            ("emit_check", (9, 3, False), CheckEvent(9, 3, False)),
+            ("emit_cycle", (4, 12, 2), CycleEvent(4, 12, 2)),
+        ],
+    )
+    def test_typed_defaults_hand_emit_the_event(self, method, args, expected):
+        """Each typed method's default builds the event once for emit."""
+        recorder = RecordingTracer()
+        getattr(recorder, method)(*args)
+        [event] = recorder.events
+        assert type(event) is type(expected)
+        assert dataclasses.astuple(event) == dataclasses.astuple(expected)
+
+    def test_tee_builds_each_typed_event_once(self):
+        a, b = RecordingTracer(), RecordingTracer()
+        TeeTracer(a, b).emit_check(9, 3, True)
+        assert a.events == b.events == [CheckEvent(9, 3, True)]
+        assert a.events[0] is b.events[0]
 
     def test_recording_limit_drops_not_raises(self):
         tracer = RecordingTracer(limit=3)

@@ -16,8 +16,9 @@ Facts extracted per function:
 * **branch structure** — flattened if/elif/else chains with each arm's
   direct increments, call sites and terminator, for path-completeness
   checking;
-* **telemetry emit sites** — every ``*.emit(...)`` call with the
-  strongest dominating guard (identity vs truthiness vs none).
+* **telemetry emit sites** — every ``*.emit(...)`` and typed
+  ``*.emit_<kind>(...)`` call on a tracer receiver, with the strongest
+  dominating guard (identity vs truthiness vs none).
 
 Plus per module: the import map, class summaries (bases, int class
 attributes, ``self.X = Cls(...)`` attribute types), module-level
@@ -87,7 +88,7 @@ class StatIncrement:
 
 @dataclass
 class EmitSite:
-    """One telemetry ``emit`` call with its strongest dominating guard."""
+    """One telemetry ``emit``/``emit_*`` call with its strongest dominating guard."""
 
     line: int
     guard: str  # "identity" | "truthiness" | "none"
@@ -354,7 +355,7 @@ class _FunctionExtractor(ast.NodeVisitor):
         if isinstance(node.func, ast.Attribute):
             receiver = self.eval_expr(node.func.value)
             self._edge(receiver, result, line, f"method:{node.func.attr}")
-            if node.func.attr == "emit":
+            if node.func.attr == "emit" or node.func.attr.startswith("emit_"):
                 self._record_emit(node, line)
         # Stats bumps via dict-backed helper methods count as increments.
         if callee and self._is_stats_chain(callee.rsplit(".", 1)[0]) and "." in callee:
