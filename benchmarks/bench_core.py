@@ -42,15 +42,12 @@ from pathlib import Path
 from typing import Dict, List, Sequence
 
 from repro.simulation import get_trace, simulate
+from repro.workloads import APP_NAMES
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 RESULT_NAME = "BENCH_core.json"
 
 MODELS = ("sie", "die", "die-irb")
-DEFAULT_APPS = (
-    "gzip", "vpr", "gcc", "mcf", "parser", "bzip2",
-    "twolf", "vortex", "wupwise", "art", "equake", "ammp",
-)
 
 
 def cell_names(apps: Sequence[str]) -> List[str]:
@@ -160,7 +157,7 @@ def main() -> int:
         "--worker", action="store_true", help=argparse.SUPPRESS
     )
     args = parser.parse_args()
-    apps = tuple(args.apps.split(",")) if args.apps else DEFAULT_APPS
+    apps = tuple(args.apps.split(",")) if args.apps else APP_NAMES
 
     # Warm the trace cache so generation cost never pollutes pass one.
     for app in apps:

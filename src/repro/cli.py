@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .campaign import DEFAULT_ROOT, ProgressPrinter, ResultStore, campaign_context
@@ -803,7 +802,9 @@ def _cmd_sample_validate(args: argparse.Namespace) -> int:
     plan = SamplingPlan()
     store: Optional[ResultStore] = None
     if not args.no_store:
-        store = ResultStore(Path(args.store_dir) if args.store_dir else None)
+        store = _open_store(args.store_dir)
+        if store is None:
+            return 2
     with campaign_context(jobs_n=args.jobs, store=store):
         errors = measure_errors(apps, models, args.n, plan, seed=args.seed)
 
@@ -889,7 +890,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     store: Optional[ResultStore] = None
     if not args.no_store:
-        store = ResultStore(Path(args.store_dir) if args.store_dir else None)
+        store = _open_store(args.store_dir)
+        if store is None:
+            return 2
 
     if args.list_corpus:
         if store is None:

@@ -1,7 +1,7 @@
 """Decoded-instruction metadata: resolve per-opcode facts once, not per cycle.
 
 The cycle-level stage methods used to re-derive the same facts for every
-dynamic instruction on every cycle it was considered: ``op_timing()``
+dynamic instruction on every cycle it was considered: opcode-timing
 dictionary probes in issue, ``pc // line_bytes`` divisions in fetch,
 ``is_mem``/``is_branch`` property calls (each a frozenset membership test
 behind a function call) throughout.  None of those answers ever change —
@@ -20,9 +20,6 @@ Two layers, both immutable after construction:
   on the :class:`~repro.workloads.Trace` itself, so every pipeline
   instantiation — and every forked campaign worker, which inherits the
   parent's trace cache — shares one copy.
-
-This module is the sanctioned home for ``op_timing()`` resolution inside
-the core; simlint rule SL007 flags per-cycle calls anywhere else.
 """
 
 from __future__ import annotations

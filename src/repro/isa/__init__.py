@@ -1,7 +1,7 @@
 """Instruction-set definitions shared by every model in the reproduction."""
 
 from .instruction import StaticInst, TraceInst, make_trace_inst
-from .latencies import OpTiming, op_latency, op_timing
+from .latencies import OpTiming
 from .opcodes import (
     FUClass,
     Opcode,
@@ -44,8 +44,6 @@ __all__ = [
     "is_store",
     "is_uncond_branch",
     "make_trace_inst",
-    "op_latency",
-    "op_timing",
     "FP_BASE",
     "LINK_REG",
     "NUM_FP_REGS",

@@ -52,10 +52,8 @@ _TIMINGS = {
 
 
 #: Complete opcode -> timing table with the single-cycle default
-#: materialized for every opcode.  Decode-time consumers (the decoded-trace
-#: cache in ``core/decoded.py``) resolve timings through this table exactly
-#: once per opcode instead of calling :func:`op_timing` per dynamic
-#: instruction per cycle.
+#: materialized for every opcode.  The decoded-trace cache
+#: (``core/decoded.py``) reads it once per opcode at import time.
 TIMING_TABLE: Dict[Opcode, OpTiming] = {
     op: _TIMINGS.get(op, _DEFAULT) for op in Opcode
 }
@@ -63,13 +61,3 @@ TIMING_TABLE: Dict[Opcode, OpTiming] = {
 #: What a duplicate of a load/store pays: address calculation only,
 #: a single-cycle integer ALU operation (see Section 2.1 of the paper).
 ADDRESS_CALC_TIMING = TIMING_TABLE[Opcode.ADD]
-
-
-def op_timing(op: Opcode) -> OpTiming:
-    """Return the :class:`OpTiming` for ``op`` (single-cycle by default)."""
-    return TIMING_TABLE[op]
-
-
-def op_latency(op: Opcode) -> int:
-    """Shorthand for ``op_timing(op).latency``."""
-    return op_timing(op).latency

@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 from ..core import MachineConfig, SimStats
 from ..reuse import IRBConfig
+from ..simulation.runner import get_trace, takes_irb_config
 from .plan import SamplingPlan
 from .regions import select_regions
 
@@ -93,7 +94,6 @@ def measure_error(
     """Run (or fetch) the full and sampled simulations and compare them."""
     from ..campaign.jobs import Job
     from ..campaign.scheduler import run_campaign
-    from ..simulation.runner import get_trace
 
     full_job = Job(
         workload=workload,
@@ -153,7 +153,7 @@ def measure_errors(
             plan,
             seed=seed,
             config=config,
-            irb_config=irb_config if _takes_irb(model) else None,
+            irb_config=irb_config if takes_irb_config(model) else None,
         )
         for workload in workloads
         for model in models
@@ -168,9 +168,3 @@ def geomean_ipc_error(errors: Sequence[SampleError]) -> float:
     for error in errors:
         product *= 1.0 + error.ipc_error
     return product ** (1.0 / len(errors)) - 1.0
-
-
-def _takes_irb(model: str) -> bool:
-    from ..simulation.runner import _IRB_MODELS
-
-    return model in _IRB_MODELS

@@ -103,6 +103,11 @@ _IRB_FIELD_OF = {
 }
 
 
+#: The stage kinds carving bins by ``seq``; commits feed only
+#: ``commit_cycle``, and complete/squash events are not read at all.
+_CARVED_STAGES = frozenset((STAGE_FETCH, STAGE_DISPATCH, STAGE_ISSUE))
+
+
 class WindowTracer(Tracer):
     """Collects the per-event stream of one site run for window carving.
 
@@ -115,7 +120,7 @@ class WindowTracer(Tracer):
 
     def __init__(self) -> None:
         self.commit_cycle: Dict[int, int] = {}
-        self.stage_seqs: List[tuple] = []  # (kind, seq, fu)
+        self.stage_seqs: List[tuple] = []  # (kind, seq, fu) for _CARVED_STAGES
         self.checks: List[tuple] = []  # (seq, ok)
         self.irb: List[tuple] = []  # (kind, cycle)
 
@@ -140,9 +145,10 @@ class WindowTracer(Tracer):
         stream: int,
         fu: FUClass,
     ) -> None:
-        if kind == STAGE_COMMIT and stream == 0:
+        if kind in _CARVED_STAGES:
+            self.stage_seqs.append((kind, seq, fu))
+        elif kind == STAGE_COMMIT and stream == 0:
             self.commit_cycle[seq] = cycle
-        self.stage_seqs.append((kind, seq, fu))
 
     def emit_irb(
         self, kind: str, cycle: int, pc: int, opcode: Optional[Opcode] = None

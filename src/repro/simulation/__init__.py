@@ -7,7 +7,14 @@ from .metrics import (
     recovered_fraction,
 )
 from .reporting import format_table
-from .runner import MODELS, RunResult, get_trace, run_workload, simulate
+from .runner import (
+    MODELS,
+    RunResult,
+    get_trace,
+    run_workload,
+    simulate,
+    takes_irb_config,
+)
 
 __all__ = [
     "MODELS",
@@ -20,4 +27,5 @@ __all__ = [
     "recovered_fraction",
     "run_workload",
     "simulate",
+    "takes_irb_config",
 ]

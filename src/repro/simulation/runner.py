@@ -20,6 +20,7 @@ from ..reuse import (
     IRBConfig,
     SIEIRBPipeline,
 )
+from ..reuse.irb import IRBFrontEnd
 from ..telemetry.events import Tracer
 from ..workloads import Trace, load_workload
 
@@ -36,7 +37,10 @@ MODELS: Dict[str, Type[OOOPipeline]] = {
     "srt": SRTPipeline,
 }
 
-_IRB_MODELS = ("die-irb", "sie-irb", "die-irb-fwd")
+
+def takes_irb_config(model: str) -> bool:
+    """True for the models that probe the IRB (a key of :data:`MODELS`)."""
+    return issubclass(MODELS[model], IRBFrontEnd)
 
 
 def make_pipeline(
@@ -56,7 +60,7 @@ def make_pipeline(
         raise ValueError(
             f"unknown model {model!r}; choose from {sorted(MODELS)}"
         ) from None
-    if model in _IRB_MODELS:
+    if takes_irb_config(model):
         return cls(trace, config, irb_config)  # type: ignore[call-arg]
     if irb_config is not None:
         raise ValueError(f"model {model!r} takes no IRB configuration")

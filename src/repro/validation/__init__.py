@@ -37,7 +37,6 @@ from .engine import (
     run_one_case,
 )
 from .harness import (
-    PAIR_CHECKED_MODELS,
     REDUNDANT_MODELS,
     CaseResult,
     CommitAuditor,
@@ -66,7 +65,6 @@ __all__ = [
     "FuzzFinding",
     "FuzzReport",
     "ModelRun",
-    "PAIR_CHECKED_MODELS",
     "REDUNDANT_MODELS",
     "ShrinkResult",
     "build_case_program",

@@ -2,10 +2,12 @@
 
 The harness drives pipelines itself (built by
 :func:`repro.simulation.runner.make_pipeline`, as ``simulate`` does) so
-it can attach a :class:`CommitAuditor` tracer, which the public runner
-deliberately does not expose: it records per-``(seq, stream)``
-commit counts and the primary-stream commit order, the raw
-material for the commit-exactly-once and oracle-match invariants.
+that a deadlock becomes data on the :class:`ModelRun` rather than an
+exception.  ``simulate(tracer=...)`` takes a tracer too; the harness
+attaches a :class:`CommitAuditor` (teed with any caller tracer), which
+records per-``(seq, stream)`` commit counts and the primary-stream
+commit order, the raw material for the commit-exactly-once and
+oracle-match invariants.
 
 Everything here is read-only with respect to the models: the harness
 never reaches into pipeline state, it only observes stats and events.
@@ -20,33 +22,17 @@ from ..core import MachineConfig, SimStats
 from ..core.pipeline import DeadlockError
 from ..redundancy import FaultInjector
 from ..reuse import IRBConfig
-from ..simulation.runner import make_pipeline
+from ..simulation.runner import MODELS, make_pipeline
 from ..telemetry.events import STAGE_COMMIT, InstEvent, Tracer
 from ..telemetry.record import TeeTracer
 from ..workloads import Trace
 
-#: Models whose commit path carries a redundant stream (never faster
-#: than the redundancy-free SIE baseline on the same trace).
-REDUNDANT_MODELS: Tuple[str, ...] = (
-    "die",
-    "die-irb",
-    "die-irb-fwd",
-    "die-vp",
-    "die-cluster-split",
-    "die-cluster-repl",
-    "srt",
-)
-
-#: Models whose commit checker checks every architected instruction
-#: once (the DIE family per pair, SRT per trailing instruction).
-PAIR_CHECKED_MODELS: Tuple[str, ...] = (
-    "die",
-    "die-irb",
-    "die-irb-fwd",
-    "die-vp",
-    "die-cluster-split",
-    "die-cluster-repl",
-    "srt",
+#: The two-stream models (the DIE family and SRT), in registry order.
+#: Their commit path carries a redundant stream, so they are never faster
+#: than the redundancy-free SIE baseline on the same trace, and their
+#: commit checker checks every architected instruction once.
+REDUNDANT_MODELS: Tuple[str, ...] = tuple(
+    name for name, cls in MODELS.items() if cls.STREAMS == 2
 )
 
 

@@ -48,12 +48,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..campaign.store import stats_from_dict, stats_to_dict
+from ..simulation.runner import takes_irb_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from ..redundancy import FaultInjector
 from ..telemetry.events import NULL_TRACER, DivergenceEvent, Tracer
 from .harness import (
-    PAIR_CHECKED_MODELS,
     REDUNDANT_MODELS,
     CaseResult,
     ModelRun,
@@ -207,7 +207,7 @@ def check_fault_free_clean(case: CaseResult) -> List[Divergence]:
                     ),
                 )
             )
-        if run.model in PAIR_CHECKED_MODELS and stats.pairs_checked != n:
+        if run.model in REDUNDANT_MODELS and stats.pairs_checked != n:
             out.append(
                 Divergence(
                     "fault-free-clean",
@@ -240,6 +240,11 @@ def check_redundancy_never_wins(case: CaseResult) -> List[Divergence]:
     return out
 
 
+#: The IRB models on the two-stream DIE core: reuse must never make them
+#: slower than plain DIE.
+_DIE_REUSE_MODELS = tuple(m for m in REDUNDANT_MODELS if takes_irb_config(m))
+
+
 def check_irb_bounded(case: CaseResult) -> List[Divergence]:
     die = case.runs.get("die")
     sie = case.runs.get("sie")
@@ -247,7 +252,7 @@ def check_irb_bounded(case: CaseResult) -> List[Divergence]:
         return []
     out: List[Divergence] = []
     slack = reuse_slack(die.stats.cycles)
-    for model in ("die-irb", "die-irb-fwd"):
+    for model in _DIE_REUSE_MODELS:
         run = case.runs.get(model)
         if run is None or run.stats is None:
             continue

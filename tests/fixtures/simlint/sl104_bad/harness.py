@@ -1,9 +1,4 @@
-"""Fuzz-harness lists that no longer match the registry."""
-
-# "dup" (STREAMS == 2, calls the checker) is missing from both lists,
-# and "legacy" names a model that was never registered.
-REDUNDANT_MODELS = ("legacy",)
-PAIR_CHECKED_MODELS = ()
+"""A use site naming a model that was never registered."""
 
 
 def run_model(trace, model):

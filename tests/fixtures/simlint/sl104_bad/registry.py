@@ -1,24 +1,10 @@
-"""SL104 known-bad: registry and harness lists have drifted."""
+"""SL104 known-bad: a model literal outside the registry."""
 
 
 class BasePipeline:
     STREAMS = 1
 
-    def step(self):
-        return 0
-
-
-class DupPipeline(BasePipeline):
-    STREAMS = 2
-
-    def __init__(self):
-        self.checker = object()
-
-    def _hook_commit(self, inst):
-        self.checker.check(inst, inst.pair)
-
 
 MODELS = {
     "base": BasePipeline,
-    "dup": DupPipeline,
 }

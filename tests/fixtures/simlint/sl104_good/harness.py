@@ -1,7 +1,4 @@
-"""Harness lists consistent with the registry."""
-
-REDUNDANT_MODELS = ("dup",)
-PAIR_CHECKED_MODELS = ("dup",)
+"""Use sites naming registered models only."""
 
 
 def run_model(trace, model):

@@ -1,24 +1,10 @@
-"""SL104 known-good twin of the bad fixture: everything in sync."""
+"""SL104 known-good twin of the bad fixture: the same registry."""
 
 
 class BasePipeline:
     STREAMS = 1
 
-    def step(self):
-        return 0
-
-
-class DupPipeline(BasePipeline):
-    STREAMS = 2
-
-    def __init__(self):
-        self.checker = object()
-
-    def _hook_commit(self, inst):
-        self.checker.check(inst, inst.pair)
-
 
 MODELS = {
     "base": BasePipeline,
-    "dup": DupPipeline,
 }

@@ -275,6 +275,21 @@ class TestStoreCommands:
             assert main(argv) == 2
             assert "local store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "validate", "--apps", "gzip", "--models", "sie",
+             "--n", "3000"],
+            ["fuzz", "--n", "1"],
+        ],
+        ids=["sample-validate", "fuzz"],
+    )
+    def test_url_store_creates_no_directory(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--store-dir", "http://host/store"]) == 2
+        assert "local store" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSampleValidate:
     @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ import pytest
 
 from helpers import addi, straightline
 from repro.core import DUPLICATE, DynInst, MachineConfig, OOOPipeline, PRIMARY, SimStats
-from repro.isa import FUClass, Opcode, OpTiming, op_latency, op_timing
+from repro.isa import FUClass, Opcode, OpTiming
+from repro.isa.latencies import TIMING_TABLE
 from repro.isa.registers import fp_reg
 from repro.isa.instruction import TraceInst
 
@@ -31,18 +32,18 @@ def make_trace_inst(opcode=Opcode.ADD, seq=0, dst=1, src1=2, src2=3):
 
 class TestOpTiming:
     def test_defaults_single_cycle(self):
-        assert op_latency(Opcode.ADD) == 1
-        assert op_timing(Opcode.ADD).init_interval == 1
+        assert TIMING_TABLE[Opcode.ADD].latency == 1
+        assert TIMING_TABLE[Opcode.ADD].init_interval == 1
 
     def test_unpipelined_ops(self):
-        div = op_timing(Opcode.DIV)
+        div = TIMING_TABLE[Opcode.DIV]
         assert div.latency == 20 and div.init_interval == 19
-        fsqrt = op_timing(Opcode.FSQRT)
+        fsqrt = TIMING_TABLE[Opcode.FSQRT]
         assert fsqrt.init_interval == fsqrt.latency
 
     def test_pipelined_long_ops(self):
-        assert op_timing(Opcode.FMUL).latency == 4
-        assert op_timing(Opcode.FMUL).init_interval == 1
+        assert TIMING_TABLE[Opcode.FMUL].latency == 4
+        assert TIMING_TABLE[Opcode.FMUL].init_interval == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -16,12 +16,7 @@ from hypothesis import given, strategies as st
 from repro.core import MachineConfig
 from repro.isa import Opcode, int_reg
 from repro.simulation import MODELS, simulate
-from repro.validation import (
-    PAIR_CHECKED_MODELS,
-    REDUNDANT_MODELS,
-    jitter_slack,
-    reuse_slack,
-)
+from repro.validation import REDUNDANT_MODELS, jitter_slack, reuse_slack
 
 from helpers import assemble
 from repro.workloads.executor import FunctionalExecutor
@@ -174,7 +169,7 @@ def test_redundancy_never_wins(ops, loops):
 @given(ops=programs, loops=loops)
 def test_fault_free_redundancy_is_clean(ops, loops):
     trace = _trace_for(ops, loops)
-    for model in PAIR_CHECKED_MODELS:
+    for model in REDUNDANT_MODELS:
         result = simulate(trace, model)
         assert result.stats.check_mismatches == 0, model
         assert result.stats.pairs_checked == len(trace), model

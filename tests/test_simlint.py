@@ -31,7 +31,6 @@ RULE_IDS = (
     "SL004",
     "SL005",
     "SL006",
-    "SL007",
     "SL100",
     "SL101",
     "SL102",
@@ -152,24 +151,6 @@ class TestRuleDetails:
         progress = os.path.join(SRC, "campaign", "progress.py")
         assert rule_hits(cli, "SL006") == []
         assert rule_hits(progress, "SL006") == []
-
-    def test_sl007_flags_both_resolvers_and_names_the_method(self):
-        violations = rule_hits(fixture("sl007_bad"), "SL007")
-        messages = "\n".join(v.message for v in violations)
-        assert "op_timing" in messages
-        assert "op_latency" in messages
-        assert "_issue" in messages
-        assert "OP_META" in messages
-        # One per call site: two stage methods plus the hot helper.
-        assert len(violations) == 3
-
-    def test_sl007_exempts_the_decoded_module(self):
-        decoded = os.path.join(SRC, "core", "decoded.py")
-        assert rule_hits(decoded, "SL007") == []
-
-    def test_sl007_ignores_import_time_resolution(self):
-        # The good fixture resolves op_timing at module level — sanctioned.
-        assert rule_hits(fixture("sl007_good"), "SL007") == []
 
     def test_sl005_all_three_kinds(self):
         messages = "\n".join(

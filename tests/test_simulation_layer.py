@@ -11,8 +11,10 @@ from repro.simulation import (
     recovered_fraction,
     run_workload,
     simulate,
+    takes_irb_config,
 )
 from repro.simulation.metrics import arithmetic_mean
+from repro.simulation.runner import make_pipeline
 
 
 class TestRunner:
@@ -29,6 +31,20 @@ class TestRunner:
 
         with pytest.raises(ValueError):
             simulate(gzip_trace, "sie", irb_config=IRBConfig())
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_only_irb_models_take_an_irb_config(self, gzip_trace, model):
+        from repro.reuse import IRBConfig
+
+        irb_models = {"die-irb", "sie-irb", "die-irb-fwd"}
+        assert takes_irb_config(model) == (model in irb_models)
+        config = IRBConfig(entries=256)
+        if model in irb_models:
+            pipeline = make_pipeline(model, gzip_trace, irb_config=config)
+            assert pipeline.irb.config is config
+        else:
+            with pytest.raises(ValueError, match="takes no IRB configuration"):
+                make_pipeline(model, gzip_trace, irb_config=config)
 
     def test_trace_cache_returns_same_object(self):
         t1 = get_trace("gzip", 2000)

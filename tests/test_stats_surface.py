@@ -9,7 +9,8 @@ import pytest
 from helpers import addi, straightline
 from repro.campaign.store import stats_from_dict, stats_to_dict
 from repro.core import MachineConfig, OOOPipeline, SimStats
-from repro.isa import FUClass, Opcode, op_timing
+from repro.core.decoded import OP_META
+from repro.isa import FUClass, Opcode
 from repro.simulation import run_workload
 
 
@@ -40,7 +41,7 @@ class TestFuUtilization:
         div = (Opcode.DIV, 3, 1, 2, None)
         trace = straightline([addi(1, 0, 7), addi(2, 0, 3), div, div])
         stats = OOOPipeline(trace, MachineConfig(int_muldiv=1)).run()
-        busy = 2 * op_timing(Opcode.DIV).init_interval
+        busy = 2 * OP_META[Opcode.DIV].timing.init_interval
         assert stats.fu_issued[FUClass.INT_MULDIV] == 2
         assert stats.fu_busy_cycles[FUClass.INT_MULDIV] == busy
         assert stats.fu_utilization(FUClass.INT_MULDIV, 1) == pytest.approx(

@@ -7,7 +7,6 @@ from . import (  # noqa: F401
     sl004_sphere,
     sl005_frozen,
     sl006_output,
-    sl007_decode,
     sl100_suppressions,
     sl101_sor_taint,
     sl102_stats_paths,

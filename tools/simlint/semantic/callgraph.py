@@ -175,22 +175,6 @@ class CallGraph:
                 out.append(fn)
         return out
 
-    def class_calls(self, key: ClassKey, callee_suffix: str) -> bool:
-        """True if any method of ``key`` (or an ancestor) has a call site
-        whose callee text ends with ``callee_suffix``."""
-        for ancestor in self.mro(key):
-            module, cls_name = ancestor
-            summary = self.summaries.get(module)
-            if summary is None:
-                continue
-            for fn in summary.functions:
-                if fn.cls != cls_name:
-                    continue
-                for call in fn.calls:
-                    if call.callee.endswith(callee_suffix):
-                        return True
-        return False
-
     # -- call resolution -------------------------------------------------
 
     def owning_class(self, fn: FunctionSummary) -> Optional[ClassKey]:

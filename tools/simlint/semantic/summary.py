@@ -22,7 +22,7 @@ Facts extracted per function:
 
 Plus per module: the import map, class summaries (bases, int class
 attributes, ``self.X = Cls(...)`` attribute types), module-level
-constants in *model-registry shape* (str-keyed dicts, str tuples),
+constants in *model-registry shape* (str-keyed dicts),
 ``model=`` literals, and suppression pragmas.
 """
 
@@ -159,13 +159,11 @@ class PragmaInfo:
 
 @dataclass
 class ConstInfo:
-    """A module-level constant in model-registry shape."""
+    """A module-level str-keyed dict (the model-registry shape)."""
 
     name: str
-    kind: str  # "dict" (str keys -> name exprs) | "strs" (tuple/list of str)
     line: int
-    #: dict: [(key, value expression text, line)]; strs: [(item, "", line)]
-    entries: List[Tuple[str, str, int]] = field(default_factory=list)
+    keys: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -757,25 +755,14 @@ def _module_constant(stmt: ast.stmt) -> Optional[ConstInfo]:
         return None
     if not isinstance(target, ast.Name):
         return None
-    if isinstance(value, ast.Dict):
-        entries: List[Tuple[str, str, int]] = []
-        for key, val in zip(value.keys, value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                return None
-            entries.append((key.value, _dotted(val) or "", key.lineno))
-        return ConstInfo(target.id, "dict", stmt.lineno, entries)
-    if isinstance(value, (ast.Tuple, ast.List)):
-        items: List[Tuple[str, str, int]] = []
-        for element in value.elts:
-            if not (
-                isinstance(element, ast.Constant) and isinstance(element.value, str)
-            ):
-                return None
-            items.append((element.value, "", element.lineno))
-        # An empty tuple is still a registry ("no models yet") — SL104
-        # must see it to flag classes missing from it.
-        return ConstInfo(target.id, "strs", stmt.lineno, items)
-    return None
+    if not isinstance(value, ast.Dict):
+        return None
+    keys: List[str] = []
+    for key in value.keys:
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            return None
+        keys.append(key.value)
+    return ConstInfo(target.id, stmt.lineno, tuple(keys))
 
 
 #: Call names whose second positional argument is a timing-model key.
