@@ -332,12 +332,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         import json
 
         if sampled is not None:
+            from .sampling import phase_of
+
             selection = sampled.selection
             payload = {
                 "stats": stats.to_dict(),
                 "sampling": {
                     "plan": plan.to_dict(),
-                    "phases": len(set(selection.phase_of)),
+                    "phases": len(set(phase_of(trace))),
                     "regions": len(selection.regions),
                     "sites": len(selection.sites),
                     "simulated_insts": selection.simulated_insts,
@@ -687,9 +689,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled store command {args.store_command!r}")
 
 
-def _render_phase_map(selection: "object") -> List[str]:
+def _render_phase_map(selection: "object", phases: str) -> List[str]:
     """The phase map as paired text rows: phase letters over site marks."""
-    phases = selection.phase_map()
     measured = set()
     padded = set()
     for site in selection.sites:
@@ -712,13 +713,15 @@ def _render_phase_map(selection: "object") -> List[str]:
 
 
 def _cmd_sample_report(args: argparse.Namespace) -> int:
-    from .sampling import select_regions
+    from .sampling import phase_of, select_regions
+    from .sampling.regions import phase_letter
     from .simulation import get_trace
 
     plan = SamplingPlan()
     trace = get_trace(args.workload, args.n, args.seed)
     selection = select_regions(trace, plan)
-    phases = len(set(selection.phase_of))
+    phase_map = phase_of(trace)
+    phases = len(set(phase_map))
     if args.json:
         import json
 
@@ -728,9 +731,9 @@ def _cmd_sample_report(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "plan": plan.to_dict(),
             "interval_length": selection.interval_length,
-            "intervals": len(selection.phase_of),
+            "intervals": len(phase_map),
             "phases": phases,
-            "phase_of": list(selection.phase_of),
+            "phase_of": list(phase_map),
             "fingerprints": list(selection.fingerprints),
             "sites": [
                 {"start": s.start, "end": s.end, "measured": sorted(s.measured)}
@@ -739,7 +742,7 @@ def _cmd_sample_report(args: argparse.Namespace) -> int:
             "regions": [
                 {
                     "index": r.index,
-                    "phase": r.phase,
+                    "phase": phase_map[r.index],
                     "start": r.start,
                     "end": r.end,
                     "weight": r.weight,
@@ -754,11 +757,12 @@ def _cmd_sample_report(args: argparse.Namespace) -> int:
         return 0
     print(
         f"{args.workload}: {args.n} instructions, "
-        f"{len(selection.phase_of)} intervals x {selection.interval_length}, "
+        f"{len(phase_map)} intervals x {selection.interval_length}, "
         f"{phases} phases"
     )
     print("phase map ('^' measured interval, '~' functional pad):")
-    for line in _render_phase_map(selection):
+    letters = "".join(map(phase_letter, phase_map))
+    for line in _render_phase_map(selection, letters):
         print(line)
     print(
         f"sites: {len(selection.sites)} "
@@ -769,7 +773,7 @@ def _cmd_sample_report(args: argparse.Namespace) -> int:
     rows = [
         (
             region.index,
-            chr(ord("A") + region.phase) if region.phase < 26 else "?",
+            phase_letter(phase_map[region.index]),
             f"{region.start}..{region.end}",
             region.length,
             f"{region.weight:.5f}",

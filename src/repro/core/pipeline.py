@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..branch import (
     BranchTargetBuffer,
@@ -102,6 +102,69 @@ def functional_warm(
         elif dec.branch and not dec.is_ret:
             btb.update(inst.pc, inst.next_pc)
     return last_block
+
+
+#: One warm snapshot: the hierarchy, predictor and BTB after a replay,
+#: plus the I-cache block that replay ended on (to continue it exactly).
+_Snapshot = Tuple[MemoryHierarchy, DirectionPredictor, BranchTargetBuffer, Optional[int]]
+
+#: The one-entry warm-state memo: ``(trace, key, snapshots)`` for the
+#: most recently warmed trace.  ``key`` is ``(hierarchy config,
+#: predictor kind)``, everything warm state depends on besides the trace
+#: (the BTB takes no configuration); ``snapshots`` maps a prefix length
+#: ``start`` to the state after a full lap of the trace plus
+#: ``trace[:start]``.  Replaced by rebinding the whole tuple, so a reader
+#: never sees a trace paired with another trace's snapshots.
+_WARM: Tuple[Optional[Trace], Optional[Tuple[object, str]], Dict[int, _Snapshot]] = (
+    None, None, {},
+)
+
+
+def warm_structures(
+    trace: Trace, config: MachineConfig, start: int = 0
+) -> Tuple[MemoryHierarchy, DirectionPredictor, BranchTargetBuffer]:
+    """Fresh copies of the structures warmed by ``trace``'s full lap plus
+    ``trace[:start]``.
+
+    Every job on one trace under one hierarchy and predictor warms to the
+    same state, so it is replayed once and snapshotted (see ``_WARM``);
+    each caller gets exact ``copy()``s it may drive freely.  A snapshot
+    for a new ``start`` continues the replay from the nearest earlier
+    one, so a sampled run's sites, taken in trace order, cost one lap
+    plus one prefix walk per trace, however many jobs share it.  The
+    memo holds one trace at a time: its snapshots are about 200 KB each.
+    Two threads that miss at once each replay and store equal states, so
+    a race costs work, never a wrong state.
+    """
+    global _WARM
+    key = (config.hierarchy, config.predictor)
+    memo = _WARM
+    if memo[0] is trace and memo[1] == key:
+        snapshots = memo[2]
+    else:
+        hier = MemoryHierarchy(config.hierarchy)
+        predictor = make_predictor(config.predictor)
+        btb = BranchTargetBuffer()
+        last = functional_warm(
+            hier, predictor, btb, trace,
+            decode_trace(trace, config.hierarchy.l1i.line_bytes),
+            0, len(trace), None,
+        )
+        snapshots = {0: (hier, predictor, btb, last)}
+        _WARM = (trace, key, snapshots)
+    snapshot = snapshots.get(start)
+    if snapshot is None:
+        base = max(position for position in list(snapshots) if position <= start)
+        hier, predictor, btb, last = snapshots[base]
+        hier, predictor, btb = hier.copy(), predictor.copy(), btb.copy()
+        last = functional_warm(
+            hier, predictor, btb, trace,
+            decode_trace(trace, config.hierarchy.l1i.line_bytes),
+            base, start, last,
+        )
+        snapshot = snapshots[start] = (hier, predictor, btb, last)
+    hier, predictor, btb, _ = snapshot
+    return hier.copy(), predictor.copy(), btb.copy()
 
 
 class OOOPipeline:
@@ -268,21 +331,22 @@ class OOOPipeline:
     # Warmup
     # ==================================================================
 
-    def warm_up(self) -> None:
+    def warm_up(self, source: Optional[Trace] = None, start: int = 0) -> None:
         """Functional warmup: train caches, predictor and BTB, no timing.
 
         The paper simulates SimPoint regions of long-running binaries, so
         its structures are warm; our traces are short, and cold-start
-        misses would otherwise dominate.  This replays the pipeline's own
-        trace (PCs, memory addresses and branch outcomes) through the
-        stateful structures with :func:`functional_warm`, then zeroes
-        their statistics.  Call before :meth:`run`.  Sampled simulation
-        warms its site pipelines through the same loop, driven by
-        ``repro.sampling``'s walker.
+        misses would otherwise dominate.  This installs copies of the
+        caches, predictor and BTB in the state a replay of ``source``
+        (PCs, memory addresses and branch outcomes; default: the
+        pipeline's own trace) leaves them in: one full lap, then
+        ``source[:start]``.  Their statistics are then zeroed.  Call
+        before :meth:`run`.  Sampled simulation passes the full trace and
+        each site's start.  Pipelines share the replays through
+        :func:`warm_structures`.
         """
-        functional_warm(
-            self.hier, self.predictor, self.btb, self.trace, self._decoded,
-            0, len(self.trace), None,
+        self.hier, self.predictor, self.btb = warm_structures(
+            self.trace if source is None else source, self.config, start
         )
         self.hier.reset_stats()
         self.predictor.reset_stats()

@@ -42,7 +42,14 @@ from .extrapolate import (
 from .kmeans import Clustering, kmeans, select_k
 from .plan import SamplingPlan
 from .proxies import interval_proxies
-from .regions import Region, RegionSelection, Site, select_regions, site_trace
+from .regions import (
+    Region,
+    RegionSelection,
+    Site,
+    phase_of,
+    select_regions,
+    site_trace,
+)
 
 __all__ = [
     "BBVInterval",
@@ -63,6 +70,7 @@ __all__ = [
     "kmeans",
     "measure_error",
     "measure_errors",
+    "phase_of",
     "profile_trace",
     "project",
     "relative_error",

@@ -224,7 +224,6 @@ def project(
             if row is None:
                 row = rows[key] = _feature_row(seed, key, dims)
             weight = count * scale
-            for dim in range(dims):
-                point[dim] += weight * row[dim]
+            point = [p + weight * r for p, r in zip(point, row)]
         projected.append(point)
     return projected

@@ -47,9 +47,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
-from ..core import MachineConfig, OOOPipeline, SimStats
-from ..core.decoded import decode_trace
-from ..core.pipeline import functional_warm
+from ..core import MachineConfig, SimStats
 from ..isa import FUClass, Opcode
 from ..reuse import IRBConfig
 from ..simulation.runner import make_pipeline
@@ -74,7 +72,14 @@ from ..telemetry.events import (
 )
 from ..workloads import Trace
 from .plan import SamplingPlan
-from .regions import Region, RegionSelection, Site, select_regions, site_trace
+from .regions import (
+    Region,
+    RegionSelection,
+    Site,
+    phase_of,
+    select_regions,
+    site_trace,
+)
 
 #: SimStats counters that are *sampled-only*: they stay zero in an
 #: extrapolated result because scaling them is not meaningful (see the
@@ -160,54 +165,6 @@ class WindowTracer(Tracer):
 
     def emit_cycle(self, cycle: int, ruu: int, lsq: int) -> None:
         pass
-
-
-class _WarmWalker:
-    """Incremental full-plus-prefix warmup shared across a run's sites.
-
-    Sampled warmup trains each site's structures on the full trace
-    followed by the prefix up to the site — the same history a full
-    run's structures have seen when they reach that point (the
-    full-trace lap mirrors the full run's own warm-up, which replays the
-    entire trace it then simulates).  Replaying that from scratch per
-    site would cost ``sites * O(trace)`` functional work; this walker
-    replays the full lap once, then walks the prefix forward site by
-    site (sites are processed in trace order), handing each pipeline an
-    exact ``copy()`` of the warm hierarchy, predictor and BTB (a tenth
-    of a generic deep copy's cost; ``docs/SAMPLING.md``, "Warmup cost").
-    The training-op sequence each site observes is identical to a
-    from-scratch replay — including cache-line-boundary continuity across
-    segments — so the measurements are too.
-    """
-
-    def __init__(self, trace: Trace, pipeline: OOOPipeline) -> None:
-        self._trace = trace
-        self._decoded = decode_trace(trace, pipeline.hier.l1i.config.line_bytes)
-        self._hier = pipeline.hier.copy()
-        self._predictor = pipeline.predictor.copy()
-        self._btb = pipeline.btb.copy()
-        self._last_block: Optional[int] = None
-        self._position = 0
-        self._replay(len(trace))  # the full-trace lap
-
-    def _replay(self, stop: int) -> None:
-        self._last_block = functional_warm(
-            self._hier, self._predictor, self._btb, self._trace, self._decoded,
-            self._position, stop, self._last_block,
-        )
-
-    def install(self, pipeline, site: Site) -> None:
-        """Advance to the site's start and warm-start ``pipeline``."""
-        if site.start < self._position:  # pragma: no cover - sites are ordered
-            raise ValueError("sites must be processed in trace order")
-        self._replay(site.start)
-        self._position = site.start
-        pipeline.hier = self._hier.copy()
-        pipeline.predictor = self._predictor.copy()
-        pipeline.btb = self._btb.copy()
-        pipeline.hier.reset_stats()
-        pipeline.predictor.reset_stats()
-        pipeline.btb.reset_stats()
 
 
 @dataclass
@@ -400,26 +357,26 @@ def run_sampled(
         warmup: when True (the default, matching full runs) each site is
             preceded by functional warmup over the full trace plus the
             prefix up to the site — cache / predictor / BTB training
-            only, no cycle-core work.  False runs every site cold.
+            only, no cycle-core work, replayed once per trace and shared
+            with every job on it (:func:`~repro.core.pipeline.warm_structures`).
+            False runs every site cold.
         tracer: telemetry sink; receives every site run's raw pipeline
             events (in each site's own cycle/seq domain) plus, at the
             end, one :class:`PhaseEvent` per measured region stamped
             with the region's start offset on the reconstructed
-            (concatenated-window) timeline.
+            (concatenated-window) timeline and its phase from
+            :func:`~.regions.phase_of` (computed only here, with a tracer).
     """
     if tracer is None:
         tracer = NULL_TRACER
 
     selection = select_regions(trace, plan)
     region_results: List[RegionResult] = []
-    walker: Optional[_WarmWalker] = None
     for site in selection.sites:
         slice_trace = site_trace(trace, site)
         pipeline = make_pipeline(model, slice_trace, config, irb_config)
         if warmup:
-            if walker is None:
-                walker = _WarmWalker(trace, pipeline)
-            walker.install(pipeline, site)
+            pipeline.warm_up(trace, site.start)
         window = WindowTracer()
         if tracer is not NULL_TRACER:
             from ..telemetry import TeeTracer
@@ -434,12 +391,13 @@ def run_sampled(
 
     region_results.sort(key=lambda r: r.region.start)
     if tracer is not NULL_TRACER:
+        phases = phase_of(trace)
         offset = 0
         for r in region_results:
             tracer.emit(
                 PhaseEvent(
                     cycle=offset,
-                    phase=r.region.phase,
+                    phase=phases[r.region.index],
                     start_seq=r.region.start,
                     end_seq=r.region.end,
                     weight=r.region.weight,

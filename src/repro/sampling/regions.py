@@ -61,7 +61,8 @@ BLEND = 0.5
 ENSEMBLE_KS = (10, 16, 22, 28)
 
 #: Cap on the BIC search for the *reporting* phase map (the phase map
-#: colours reports and telemetry; it does not steer selection).
+#: colours reports and telemetry; it does not steer selection, so it is
+#: computed only on demand, by :func:`phase_of`).
 PHASE_K_MAX = 12
 
 
@@ -70,8 +71,8 @@ class Region:
     """One measured interval of a chunk site.
 
     Attributes:
-        index: profiling-interval index in the parent trace.
-        phase: cluster id from the reporting phase map.
+        index: profiling-interval index in the parent trace (its phase
+            is ``phase_of(trace)[index]``).
         start / end: half-open dynamic-instruction range in the parent
             trace (one profiling interval).
         weight: the extrapolation weight ``V_j`` — what the region's
@@ -82,7 +83,6 @@ class Region:
     """
 
     index: int
-    phase: int
     start: int
     end: int
     weight: float
@@ -113,17 +113,15 @@ class Site:
 
 @dataclass(frozen=True)
 class RegionSelection:
-    """The full outcome of phase analysis on one trace under one plan.
+    """The full outcome of region selection on one trace under one plan.
 
-    ``phase_of`` maps every profiling interval to its phase, in interval
-    order — the *phase map* the CLI report renders.  ``regions`` are
-    ordered by trace position, ``sites`` likewise; every region lies
-    inside exactly one site.
+    ``regions`` are ordered by trace position, ``sites`` likewise; every
+    region lies inside exactly one site.  ``fingerprints`` holds one
+    signature per profiling interval, in interval order.
     """
 
     interval_length: int
     total_insts: int
-    phase_of: Tuple[int, ...]
     regions: Tuple[Region, ...]
     sites: Tuple[Site, ...]
     fingerprints: Tuple[str, ...]
@@ -143,15 +141,36 @@ class RegionSelection:
         """Simulated fraction of the trace (the budget actually used)."""
         return self.simulated_insts / self.total_insts if self.total_insts else 0.0
 
-    def phase_map(self) -> str:
-        """Compact one-char-per-interval phase string (``ABBAC...``)."""
-        return "".join(
-            chr(ord("A") + phase) if phase < 26 else "?" for phase in self.phase_of
-        )
+
+def phase_letter(phase: int) -> str:
+    """A phase id as the one character reports print (``A``..``Z``, ``?``)."""
+    return chr(ord("A") + phase) if phase < 26 else "?"
+
+
+def phase_of(trace: Trace) -> Tuple[int, ...]:
+    """The (memoized) reporting phase map: each profiling interval's phase.
+
+    A BIC-selected clustering of the intervals, in interval order.  It
+    colours ``repro sample report``, ``repro run --sample --json`` and
+    the :class:`~repro.telemetry.events.PhaseEvent` stream; selection and
+    weights never read it, so it is built only when one of those asks.
+    Memoized on the trace (every plan shares the profile it clusters).
+    """
+
+    def build(parent: Trace) -> Tuple[int, ...]:
+        points = project(profile_trace(parent, DEFAULT_INTERVAL), DEFAULT_SEED)
+        return select_k(
+            points, min(PHASE_K_MAX, len(points)), DEFAULT_SEED
+        ).assignments
+
+    return trace.derived(("phase-map", DEFAULT_INTERVAL), build)
 
 
 def _sqd(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+    # ``(x - y) ** 2``, not ``d * d``: the platform ``pow`` need not be
+    # correctly rounded, so the two can differ in the last bit, and
+    # these sums order the chunk candidates.
+    return sum([(x - y) ** 2 for x, y in zip(a, b)])
 
 
 def _select_chunks(
@@ -189,13 +208,10 @@ def _select_chunks(
             d = _sqd(points[i], points[j])
             row_i[j] = d
             pair[j][i] = d
-    chunk_min = [
-        [
-            min(pair[m][i] for m in range(s0, min(s0 + chunk, count)))
-            for i in range(count)
-        ]
-        for s0 in range(count)
-    ]
+    chunk_min = []
+    for s0 in range(count):
+        rows = pair[s0:s0 + chunk]
+        chunk_min.append(list(map(min, *rows)) if len(rows) > 1 else rows[0])
 
     while True:
         best: Optional[Tuple[int, Set[int]]] = None
@@ -211,12 +227,10 @@ def _select_chunks(
             cost = sum(weights[i] for i in need - simulated)
             if spent + cost > budget_weight and measured:
                 continue
-            row = chunk_min[s0]
             gain = 0.0
-            for i in range(count):
-                d = row[i]
-                if d < dist[i]:
-                    gain += weights[i] * (dist[i] - d)
+            for weight, d, current in zip(weights, chunk_min[s0], dist):
+                if d < current:
+                    gain += weight * (current - d)
             if gain > best_gain:
                 best_gain = gain
                 best = (s0, need)
@@ -280,15 +294,20 @@ def _nn_weights(
 
 
 def _ensemble_weights(
-    profile: BBVProfile, measured: Set[int]
+    profile: BBVProfile, points: List[List[float]], measured: Set[int]
 ) -> Dict[int, float]:
-    """The stratified-ensemble weights ``W_j`` (sum to 1)."""
+    """The stratified-ensemble weights ``W_j`` (sum to 1).
+
+    ``points`` is the profile's :data:`DEFAULT_SEED` projection, which
+    selection already made; the other two seeds are projected here.
+    """
     weights = [interval.length for interval in profile.intervals]
     count = len(weights)
     accumulated = {j: 0.0 for j in measured}
     passes = 0
     for seed in (DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2):
-        points = project(profile, seed)
+        if seed != DEFAULT_SEED:
+            points = project(profile, seed)
         for k in ENSEMBLE_KS:
             clustering = select_k(
                 points, min(k, count), seed, k_fixed=min(k, count)
@@ -326,11 +345,14 @@ def _solve3(
 
 
 def _region_weights(
-    trace: Trace, profile: BBVProfile, measured: Set[int]
+    trace: Trace,
+    profile: BBVProfile,
+    points: List[List[float]],
+    measured: Set[int],
 ) -> Dict[int, float]:
     """The final per-region weights ``V_j`` (strat ensemble + control
     variate), computable before any cycle-core work."""
-    strat = _ensemble_weights(profile, measured)
+    strat = _ensemble_weights(profile, points, measured)
     proxies = interval_proxies(trace, DEFAULT_INTERVAL)
     lengths = [interval.length for interval in profile.intervals]
     total_weight = sum(lengths)
@@ -405,18 +427,12 @@ def _select(trace: Trace, plan: SamplingPlan) -> RegionSelection:
     measured, simulated = _select_chunks(
         points, lengths, DEFAULT_CHUNK, plan.budget
     )
-    weights = _region_weights(trace, profile, measured)
-
-    # Reporting phase map (BIC-selected).
-    phase_clustering = select_k(
-        points, min(PHASE_K_MAX, len(points)), DEFAULT_SEED
-    )
+    weights = _region_weights(trace, profile, points, measured)
 
     total = profile.total_insts
     regions = tuple(
         Region(
             index=j,
-            phase=phase_clustering.assignments[j],
             start=profile.intervals[j].start,
             end=profile.intervals[j].start + profile.intervals[j].length,
             weight=weights[j],
@@ -426,7 +442,6 @@ def _select(trace: Trace, plan: SamplingPlan) -> RegionSelection:
     return RegionSelection(
         interval_length=DEFAULT_INTERVAL,
         total_insts=total,
-        phase_of=phase_clustering.assignments,
         regions=regions,
         sites=_sites_of(simulated, measured, DEFAULT_INTERVAL, total),
         fingerprints=tuple(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..isa import FUClass, Opcode
 from .events import (
     IRB_LOOKUP,
     IRB_PC_HIT,
@@ -179,14 +180,19 @@ class MetricsCollector(Tracer):
     # ------------------------------------------------------------------
 
     def emit(self, event: Event) -> None:
+        # Delivered objects (a tee's, a replay's) go to the typed methods
+        # the hot emit sites call directly, so both paths aggregate alike.
         if isinstance(event, CycleEvent):
-            self._on_cycle(event)
+            self.emit_cycle(event.cycle, event.ruu, event.lsq)
         elif isinstance(event, InstEvent):
-            self._on_inst(event)
+            self.emit_inst(
+                event.kind, event.cycle, event.seq, event.pc, event.opcode,
+                event.stream, event.fu,
+            )
         elif isinstance(event, IRBEvent):
-            self._on_irb(event)
+            self.emit_irb(event.kind, event.cycle, event.pc, event.opcode)
         elif isinstance(event, CheckEvent):
-            self._on_check(event)
+            self.emit_check(event.cycle, event.seq, event.ok)
         elif isinstance(event, FaultEvent):
             key = event.outcome
             self.fault_outcomes[key] = self.fault_outcomes.get(key, 0) + 1
@@ -198,59 +204,66 @@ class MetricsCollector(Tracer):
 
     # ------------------------------------------------------------------
 
-    def _on_cycle(self, event: CycleEvent) -> None:
-        self.ruu_occupancy.sample(event.cycle, event.ruu)
-        self.lsq_occupancy.sample(event.cycle, event.lsq)
+    def emit_cycle(self, cycle: int, ruu: int, lsq: int) -> None:
+        self.ruu_occupancy.sample(cycle, ruu)
+        self.lsq_occupancy.sample(cycle, lsq)
         issued = self._issued_this_cycle
         self.issue_bw_primary.add(issued[0])
         self.issue_bw_duplicate.add(issued[1])
         issued[0] = issued[1] = 0
         self.cycles_observed += 1
 
-    def _on_inst(self, event: InstEvent) -> None:
-        if event.kind == STAGE_ISSUE:
-            stream = 1 if event.stream else 0
+    def emit_inst(
+        self,
+        kind: str,
+        cycle: int,
+        seq: int,
+        pc: int,
+        opcode: Opcode,
+        stream: int,
+        fu: FUClass,
+    ) -> None:
+        if kind == STAGE_ISSUE:
+            stream = 1 if stream else 0
             self._issued_this_cycle[stream] += 1
             if stream == _PRIMARY:
-                self._issue_cycle[event.seq] = event.cycle
-        elif event.kind == STAGE_COMMIT:
-            if event.stream == _PRIMARY:
-                self._issue_cycle.pop(event.seq, None)
-        elif event.kind == STAGE_SQUASH:
+                self._issue_cycle[seq] = cycle
+        elif kind == STAGE_COMMIT:
+            if stream == _PRIMARY:
+                self._issue_cycle.pop(seq, None)
+        elif kind == STAGE_SQUASH:
             self.squashes += 1
-            if event.stream == _PRIMARY:
-                self._issue_cycle.pop(event.seq, None)
+            if stream == _PRIMARY:
+                self._issue_cycle.pop(seq, None)
 
-    def _on_irb(self, event: IRBEvent) -> None:
-        if event.kind == IRB_WRITE:
-            self._last_install[event.pc] = event.cycle
-        elif event.kind == IRB_REUSE_HIT:
-            installed = self._last_install.get(event.pc)
+    def emit_irb(
+        self, kind: str, cycle: int, pc: int, opcode: Optional[Opcode] = None
+    ) -> None:
+        if kind == IRB_WRITE:
+            self._last_install[pc] = cycle
+        elif kind == IRB_REUSE_HIT:
+            installed = self._last_install.get(pc)
             if installed is not None:
-                self.reuse_distance.add(event.cycle - installed)
-        if event.opcode is not None and event.kind in (
-            IRB_LOOKUP,
-            IRB_PC_HIT,
-            IRB_REUSE_HIT,
-        ):
+                self.reuse_distance.add(cycle - installed)
+        if opcode is not None and kind in (IRB_LOOKUP, IRB_PC_HIT, IRB_REUSE_HIT):
             bucket = self.opcode_reuse.setdefault(
-                event.opcode.name, {"lookups": 0, "pc_hits": 0, "reuse_hits": 0}
+                opcode.name, {"lookups": 0, "pc_hits": 0, "reuse_hits": 0}
             )
-            if event.kind == IRB_LOOKUP:
+            if kind == IRB_LOOKUP:
                 bucket["lookups"] += 1
-            elif event.kind == IRB_PC_HIT:
+            elif kind == IRB_PC_HIT:
                 bucket["pc_hits"] += 1
             else:
                 bucket["reuse_hits"] += 1
 
-    def _on_check(self, event: CheckEvent) -> None:
-        if event.ok:
+    def emit_check(self, cycle: int, seq: int, ok: bool) -> None:
+        if ok:
             self.checks_ok += 1
         else:
             self.checks_failed += 1
-        issued = self._issue_cycle.get(event.seq)
+        issued = self._issue_cycle.get(seq)
         if issued is not None:
-            self.check_latency.add(event.cycle - issued)
+            self.check_latency.add(cycle - issued)
 
     # ------------------------------------------------------------------
 

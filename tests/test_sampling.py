@@ -36,6 +36,7 @@ from repro.redundancy import EXEC_DUP, Fault
 from repro.sampling import (
     SamplingPlan,
     WindowTracer,
+    phase_of,
     profile_trace,
     run_sampled,
     select_regions,
@@ -87,7 +88,7 @@ class TestBBVDeterminism:
         plan = SamplingPlan()
         a = select_regions(trace, plan)
         b = select_regions(get_trace("vpr", N), plan)
-        assert a.phase_of == b.phase_of
+        assert phase_of(trace) == phase_of(get_trace("vpr", N))
         assert [(r.start, r.end, r.weight) for r in a.regions] == [
             (r.start, r.end, r.weight) for r in b.regions
         ]
@@ -133,12 +134,12 @@ class TestKMeansAssignment:
         assert _assign(points, centroids, hint) == brute
 
 
-def _selection_digest(selection) -> str:
+def _selection_digest(selection, phases) -> str:
     payload = repr(
         (
-            tuple(selection.phase_of),
+            tuple(phases),
             tuple(
-                (r.index, r.phase, r.start, r.end, r.weight)
+                (r.index, phases[r.index], r.start, r.end, r.weight)
                 for r in selection.regions
             ),
             tuple((s.start, s.end, s.measured) for s in selection.sites),
@@ -148,11 +149,13 @@ def _selection_digest(selection) -> str:
 
 
 class TestSelectionPin:
-    """``select_regions`` output pinned bit for bit (floats via ``repr``).
+    """``select_regions`` output and the phase map pinned bit for bit
+    (floats via ``repr``).
 
     Regenerate only on purpose::
 
-        _selection_digest(select_regions(get_trace(app, 6_000), SamplingPlan()))
+        trace = get_trace(app, 6_000)
+        _selection_digest(select_regions(trace, SamplingPlan()), phase_of(trace))
     """
 
     DIGESTS = {
@@ -162,8 +165,9 @@ class TestSelectionPin:
 
     @pytest.mark.parametrize("app", sorted(DIGESTS))
     def test_selection_digest(self, app):
-        selection = select_regions(get_trace(app, 6_000), SamplingPlan())
-        assert _selection_digest(selection) == self.DIGESTS[app]
+        trace = get_trace(app, 6_000)
+        selection = select_regions(trace, SamplingPlan())
+        assert _selection_digest(selection, phase_of(trace)) == self.DIGESTS[app]
 
 
 class TestStoreKeys:

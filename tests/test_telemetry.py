@@ -322,6 +322,23 @@ class TestMetricsCollector:
         assert split["irb_reused"] > 0
         assert 0.0 < split["reused_fraction"] < 1.0
 
+    @pytest.mark.parametrize("model", ["die-irb", "srt"])
+    def test_typed_calls_match_event_objects(self, model):
+        """A collector driven by the typed calls the pipeline makes ends
+        with the snapshot of one fed the same run's events as objects."""
+        direct = MetricsCollector()
+        run_workload("gzip", model=model, n_insts=N, tracer=direct)
+        recorder = RecordingTracer()
+        run_workload("gzip", model=model, n_insts=N, tracer=recorder)
+        fed = MetricsCollector()
+        replay(recorder.events, fed)
+        snap = direct.snapshot()
+        assert snap["cycles_observed"] and snap["checks_ok"]
+        if model == "die-irb":
+            assert snap["check_latency"]["count"] and snap["opcode_reuse"]
+            assert snap["reuse_distance"]["count"]
+        assert snap == fed.snapshot()
+
     def test_snapshot_is_json_ready(self, die_irb_run):
         _, _, collector = die_irb_run
         snap = collector.snapshot(max_points=32)
